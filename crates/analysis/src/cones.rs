@@ -53,12 +53,12 @@ fn octave_home(path: &str) -> bool {
 }
 
 /// Cold boundary for `no-alloc-in-route`: decode constructors rebuild
-/// whole stores and allocate by design; reaching one from a route
-/// means a spill-reload cache miss (amortized, off the per-hop path),
-/// so the allocation cone stops there. `panic-free-serve` still
-/// covers these fns via its own decode roots.
+/// whole stores and allocate by design, and a route never reaches one
+/// (spilled and lazy stores read records in place), so the allocation
+/// cone stops there. `panic-free-serve` still covers these fns via its
+/// own decode roots.
 fn alloc_cold(name: &str) -> bool {
-    name.starts_with("from_") || name.starts_with("try_from_") || name == "load_center"
+    name.starts_with("from_") || name.starts_with("try_from_")
 }
 
 /// Run all four interprocedural rules. `sources` maps each relative

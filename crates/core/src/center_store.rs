@@ -1,19 +1,21 @@
 //! Where completed landmark trees live after the build: an in-memory
-//! map of shared [`CenterTree`]s, or a spill file of length-prefixed
+//! map of shared [`CenterTree`]s, or a file of length-prefixed
 //! [`ErrorReportingTree`] wire records read back at route time.
 //!
 //! The spill path exists for constructions whose Õ(n^{1+1/k}) total
 //! tree state exceeds RAM: the fused per-center pipeline serializes
 //! each tree the moment it is finished (the full flat-arena store;
-//! see [`ErrorReportingTree::to_wire`]) and drops it. Routing reloads
-//! records on demand through a small FIFO cache; a reload is a single
-//! validated decode pass, bit-identical to the in-memory tree, so the
-//! two stores route the same paths (asserted by
+//! see [`ErrorReportingTree::to_wire`]) and drops it. Routing never
+//! decodes a record: a fetch preads it into a per-thread buffer,
+//! validates it in place ([`ErtView::validate`]), and searches the
+//! bytes through an [`ErtView`] — the same search code the resident
+//! trees run, so the two stores route the same paths (asserted by
 //! `tests/spill_parity.rs`). The same record format and the same
 //! reader serve scheme snapshots: [`SpillStore::from_file_index`]
 //! points the store at a snapshot's center-trees section.
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
@@ -21,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use graphkit::wire;
-use treeroute::laing::ErrorReportingTree;
+use treeroute::laing::{ErrorReportingTree, ErtView};
 
 /// A landmark tree `T(c)` with the Lemma 4 scheme attached, plus the
 /// host-id → tree-index lookup routing needs.
@@ -65,36 +67,59 @@ impl IdIndex {
 pub(crate) enum CenterStore {
     /// Every tree resident, shared behind `Arc` (the default).
     Memory(HashMap<u32, Arc<CenterTree>>),
-    /// Trees on disk; loads go through a FIFO cache.
+    /// Trees on disk as wire records, read in place at route time.
     Spilled(SpillStore),
 }
 
+/// A center tree as routing sees it: decoded and resident, or a
+/// validated record read in place.
+pub(crate) enum CenterRef<'a> {
+    Resident(&'a CenterTree),
+    Record(&'a ErtView<'a>),
+}
+
 impl CenterStore {
-    /// The tree of center `c`. Routing only ever asks for centers the
-    /// plans recorded, so a miss — or, on the spilled store, an
-    /// unreadable/corrupt record — is reported as an error for the
-    /// caller to degrade on (a route falls through to its next level)
-    /// rather than panicking the serving process.
-    pub fn center_tree(&self, c: u32) -> io::Result<Arc<CenterTree>> {
+    /// Run `visit` on the tree of center `c`. Routing only ever asks
+    /// for centers the plans recorded, so a miss — or, on the spilled
+    /// store, an unreadable/corrupt record — is `None` for the caller
+    /// to degrade on (a route falls through to its next level) rather
+    /// than a panicked serving process. Nothing here allocates, not
+    /// even on failure.
+    pub fn with_center<R>(&self, c: u32, visit: impl FnOnce(CenterRef<'_>) -> R) -> Option<R> {
+        match self {
+            CenterStore::Memory(m) => m.get(&c).map(|ct| visit(CenterRef::Resident(ct))),
+            CenterStore::Spilled(s) => s.with_record(c, |view| visit(CenterRef::Record(view))),
+        }
+    }
+
+    /// The fully decoded tree of center `c`, for repair's storage
+    /// accounting and tree reuse. Spilled records are decoded with
+    /// [`ErrorReportingTree::from_wire`]; routing never comes here.
+    pub fn decoded(&self, c: u32) -> io::Result<Arc<CenterTree>> {
         match self {
             CenterStore::Memory(m) => {
                 m.get(&c).map(Arc::clone).ok_or_else(|| wire::invalid("unknown center"))
             }
-            CenterStore::Spilled(s) => s.load_center(c),
+            CenterStore::Spilled(_) => {
+                let payload = self.payload(c)?;
+                let ert = ErrorReportingTree::from_wire(&mut wire::Reader::new(&payload))?;
+                Ok(Arc::new(CenterTree::new(ert)))
+            }
         }
     }
 
     /// Every center with a tree, ascending (snapshot save iterates
     /// these so section payloads are byte-deterministic).
     pub fn centers(&self) -> Vec<u32> {
-        let mut cs: Vec<u32> = match self {
-            // lint:allow(deterministic-output): keys are collected then sorted below before any caller writes
-            CenterStore::Memory(m) => m.keys().copied().collect(),
-            // lint:allow(deterministic-output): keys are collected then sorted below before any caller writes
-            CenterStore::Spilled(s) => s.index.keys().copied().collect(),
-        };
-        cs.sort_unstable();
-        cs
+        match self {
+            CenterStore::Memory(m) => {
+                // lint:allow(deterministic-output): keys are collected then sorted below before any caller writes
+                let mut cs: Vec<u32> = m.keys().copied().collect();
+                cs.sort_unstable();
+                cs
+            }
+            CenterStore::Spilled(s) => s.index.iter().map(|&(c, _, _)| c).collect(),
+        }
     }
 
     /// The wire payload of center `c`'s tree. Resident trees are
@@ -110,8 +135,9 @@ impl CenterStore {
                 Ok(w.into_bytes())
             }
             CenterStore::Spilled(s) => {
-                let &(off, len) = s.index.get(&c).ok_or_else(|| wire::invalid("unknown center"))?;
-                let mut buf = vec![0u8; len as usize];
+                let (off, len) =
+                    s.extent(c).ok_or_else(|| wire::invalid("center missing from spill index"))?;
+                let mut buf = vec![0u8; len];
                 s.file.read_exact_at(&mut buf, off)?;
                 Ok(buf)
             }
@@ -130,8 +156,8 @@ pub(crate) struct SpillWriter {
 struct WriterState {
     file: File,
     offset: u64,
-    /// center id -> (payload offset, payload byte length).
-    index: HashMap<u32, (u64, u32)>,
+    /// `(center, payload offset, payload byte length)`, in write order.
+    index: Vec<(u32, u64, u32)>,
 }
 
 /// Process-wide sequence for unique spill-file names.
@@ -154,7 +180,7 @@ impl SpillWriter {
                 Ok(file) => {
                     let _ = std::fs::remove_file(&path);
                     return Ok(SpillWriter {
-                        inner: Mutex::new(WriterState { file, offset: 0, index: HashMap::new() }),
+                        inner: Mutex::new(WriterState { file, offset: 0, index: Vec::new() }),
                     });
                 }
                 Err(e) => last_err = Some(e),
@@ -174,62 +200,102 @@ impl SpillWriter {
         let mut st = self.inner.lock().unwrap();
         let at = st.offset;
         st.file.write_all_at(&record, at).expect("spill write failed");
-        st.index.insert(center, (at + 8, payload.len() as u32));
+        st.index.push((center, at + 8, payload.len() as u32));
         st.offset += record.len() as u64;
     }
 
-    /// Finish writing and flip to the read side.
+    /// Finish writing and flip to the read side, with the index sorted
+    /// by center (each center is written once).
     pub fn finish(self) -> SpillStore {
         let mut st = self.inner.into_inner().unwrap();
         st.file.flush().expect("spill flush failed");
-        SpillStore { file: st.file, index: st.index, cache: Mutex::new(VecDeque::new()) }
+        st.index.sort_unstable_by_key(|&(c, _, _)| c);
+        SpillStore::from_file_index(st.file, st.index)
     }
 }
 
-/// Read side of the spill file: positional reads plus a small FIFO
-/// cache of rebuilt trees (route workloads revisit the same centers).
+/// Read side of a record file: a sorted index of record extents and
+/// positional reads into the calling thread's fetch buffer.
 pub(crate) struct SpillStore {
     file: File,
-    index: HashMap<u32, (u64, u32)>,
-    cache: Mutex<VecDeque<(u32, Arc<CenterTree>)>>,
+    /// `(center, absolute offset, byte length)`, ascending by center.
+    index: Vec<(u32, u64, u32)>,
+    /// Largest record in the index: the size every thread's fetch
+    /// buffer is grown to on its first fetch, so fetches never allocate.
+    max_len: usize,
+    /// Process-unique store id: a thread's buffer only serves a record
+    /// back to the store that fetched it.
+    id: u64,
+}
+
+/// Process-wide sequence for [`SpillStore::id`]. Only uniqueness
+/// matters — the id publishes no other data — so `Relaxed` suffices.
+static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// One thread's fetch buffer and the record it holds.
+struct FetchBuf {
+    bytes: Vec<u8>,
+    /// `(store id, center)` of the validated record at the front of
+    /// `bytes`, if any.
+    held: Option<(u64, u32)>,
+}
+
+thread_local! {
+    static FETCH: RefCell<FetchBuf> = const { RefCell::new(FetchBuf { bytes: Vec::new(), held: None }) };
 }
 
 impl SpillStore {
-    const CACHE_CAP: usize = 8;
-
-    /// Point a store at records living inside an existing file — the
-    /// snapshot loader's lazy mode hands over the snapshot file itself
-    /// with absolute `(offset, len)` extents into its center-trees
+    /// Point a store at records living inside an existing file. `index`
+    /// holds `(center, absolute offset, byte length)` sorted ascending
+    /// by center — the snapshot loader's lazy mode hands over the
+    /// snapshot file itself with extents into its center-trees
     /// section. This is the spill/snapshot unification: route-time
-    /// reloads go through exactly the same cache and decode path
-    /// whether the records came from a build spill or a saved scheme.
-    pub fn from_file_index(file: File, index: HashMap<u32, (u64, u32)>) -> SpillStore {
-        SpillStore { file, index, cache: Mutex::new(VecDeque::new()) }
+    /// reads go through exactly the same fetch path whether the
+    /// records came from a build spill or a saved scheme.
+    pub fn from_file_index(file: File, index: Vec<(u32, u64, u32)>) -> SpillStore {
+        debug_assert!(
+            index.windows(2).all(|p| p[0].0 < p[1].0),
+            "index must be strictly ascending by center"
+        );
+        let max_len = index.iter().map(|&(_, _, len)| len as usize).max().unwrap_or(0);
+        let id = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
+        SpillStore { file, index, max_len, id }
     }
 
-    /// Load (or fetch from cache) the tree of center `c`, decoding
-    /// the full Lemma 4 scheme from its flat-arena record. An index
-    /// miss, short read, or corrupt record surfaces as an error — the
-    /// route path treats it as "destination not found at this level".
-    /// The cache mutex recovers from poisoning (no invariant spans the
-    /// lock: the FIFO holds complete `Arc`s only).
-    fn load_center(&self, c: u32) -> io::Result<Arc<CenterTree>> {
-        {
-            let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some((_, ct)) = cache.iter().find(|&&(id, _)| id == c) {
-                return Ok(Arc::clone(ct));
-            }
-        }
-        let &(off, len) =
-            self.index.get(&c).ok_or_else(|| wire::invalid("center missing from spill index"))?;
-        let mut buf = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut buf, off)?;
-        let mut r = wire::Reader::new(&buf);
-        let ert = ErrorReportingTree::from_wire(&mut r)?;
-        let ct = Arc::new(CenterTree::new(ert));
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.push_front((c, Arc::clone(&ct)));
-        cache.truncate(Self::CACHE_CAP);
-        Ok(ct)
+    /// `(absolute offset, byte length)` of center `c`'s record.
+    fn extent(&self, c: u32) -> Option<(u64, usize)> {
+        let i = self.index.binary_search_by_key(&c, |&(id, _, _)| id).ok()?;
+        self.index.get(i).map(|&(_, off, len)| (off, len as usize))
+    }
+
+    /// Run `visit` on center `c`'s record, read in place. The record is
+    /// pread into this thread's buffer and validated every time it is
+    /// fetched — the bytes come from a file and are not trusted — but
+    /// an immediate repeat of the same `(store, center)` reuses the
+    /// buffer as it stands. An index miss, short read, or corrupt
+    /// record is `None`; the route path treats it as "destination not
+    /// found at this level".
+    fn with_record<R>(&self, c: u32, visit: impl FnOnce(&ErtView<'_>) -> R) -> Option<R> {
+        let (off, len) = self.extent(c)?;
+        let key = Some((self.id, c));
+        FETCH
+            .try_with(|cell| {
+                let mut guard = cell.try_borrow_mut().ok()?;
+                let buf = &mut *guard;
+                if buf.bytes.len() < self.max_len {
+                    buf.bytes.resize(self.max_len, 0);
+                }
+                if buf.held != key {
+                    buf.held = None;
+                    let rec = buf.bytes.get_mut(..len)?;
+                    self.file.read_exact_at(rec, off).ok()?;
+                    ErtView::new(rec).and_then(|v| v.validate()).ok()?;
+                    buf.held = key;
+                }
+                let view = ErtView::new(buf.bytes.get(..len)?).ok()?;
+                Some(visit(&view))
+            })
+            .ok()
+            .flatten()
     }
 }

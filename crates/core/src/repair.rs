@@ -279,7 +279,7 @@ impl Scheme {
             // An unreadable old record leaves that center's old bits
             // in place: the storage stats over-count (conservative),
             // routing is unaffected.
-            if let Ok(ct) = self.center_store.center_tree(c) {
+            if let Ok(ct) = self.center_store.decoded(c) {
                 let (_, bits, _) = index_and_bits(&ct.ert, id_bits);
                 for (gid, b) in bits {
                     landmark_bits[gid as usize] -= b;
@@ -320,7 +320,7 @@ impl Scheme {
                         // Same degradation as the spill branch: an
                         // unreadable reused tree is dropped rather
                         // than panicking the repair.
-                        if let Ok(ct) = self.center_store.center_tree(c) {
+                        if let Ok(ct) = self.center_store.decoded(c) {
                             resident.insert(c, ct);
                         }
                     }
@@ -344,7 +344,7 @@ impl Scheme {
                 }
                 let c = plans[u][i].center;
                 if (impact.dirty[u] || !reused_set.contains(&c)) && !bix2.contains_key(&c) {
-                    if let Ok(ct) = center_store.center_tree(c) {
+                    if let Ok(ct) = center_store.decoded(c) {
                         let (entry, _, _) = index_and_bits(&ct.ert, id_bits);
                         bix2.insert(c, entry);
                     }

@@ -21,9 +21,10 @@ use graphkit::{
 use landmarks::{LandmarkDistances, LandmarkHierarchy};
 use sim::{GroundTruth, RouteTrace, Router, StretchStats};
 use treeroute::cover_router::{CoverOutcome, CoverTreeRouter};
-use treeroute::laing::{ErrorReportingTree, SearchOutcome};
+use treeroute::labeled::LabeledRead;
+use treeroute::laing::{search_bounded, ErrorReportingTree, ErtRead, SearchOutcome};
 
-use crate::center_store::{CenterStore, CenterTree, SpillWriter};
+use crate::center_store::{CenterRef, CenterStore, CenterTree, SpillWriter};
 
 /// Ablation switch (experiment A1): disable one side of the
 /// sparse/dense decomposition to show why the paper needs both.
@@ -1077,7 +1078,7 @@ impl Scheme {
         let Some(entry) = sc.routers.get(home as usize) else { return false };
         let Some(&from) = entry.ix.get(&src.0) else { return false };
         let (outcome, tpath) = entry.router.route(from, dst);
-        append_tree_path(entry.router.labeled().tree(), &tpath, path);
+        append_tree_path(entry.router.labeled(), &tpath, path);
         *cost += outcome.cost();
         matches!(outcome, CoverOutcome::Found { .. })
     }
@@ -1093,40 +1094,20 @@ impl Scheme {
         cost: &mut Cost,
     ) -> bool {
         // A missing or unreadable center tree (torn spill file, bad
-        // disk) degrades to "not found at this level": the caller
-        // falls through to the next level and ultimately reports an
-        // undelivered route — never a panicked serving thread.
-        let Ok(ct) = self.center_store.center_tree(plan.center) else {
-            return false;
-        };
-        let tree = ct.ert.labeled().tree();
-        let src_ix = ct.ix_of.get(src.0).unwrap_or(u32::MAX);
-        debug_assert_ne!(src_ix, u32::MAX, "source must be in its own center's tree");
-        // Climb to the root along tree parents.
-        // lint:allow(no-alloc-in-route): per-route climb scratch, sized by tree depth; measured negligible vs the bounded search
-        let mut climb = vec![src_ix];
-        let mut at = src_ix;
-        while let Some(p) = tree.parent(at) {
-            *cost += tree.parent_weight(at);
-            at = p;
-            climb.push(at);
-        }
-        append_tree_path(tree, &climb, path);
-        // Bounded search from the root.
-        let (outcome, tpath) = ct.ert.search(dst, plan.b as usize);
-        append_tree_path(tree, &tpath, path);
-        *cost += outcome.cost();
-        match outcome {
-            SearchOutcome::Found { .. } => true,
-            SearchOutcome::NotFound { .. } => {
-                // Back down to the source for the next phase.
-                for &t in climb.iter().rev().skip(1) {
-                    *cost += tree.parent_weight(t);
-                    path.push(tree.graph_id(t));
+        // disk, corrupt record) degrades to "not found at this level":
+        // the caller falls through to the next level and ultimately
+        // reports an undelivered route — never a panicked serving
+        // thread.
+        self.center_store
+            .with_center(plan.center, |tree| match tree {
+                CenterRef::Resident(ct) => {
+                    sparse_walk(&ct.ert, ct.ix_of.get(src.0), dst, plan.b, path, cost)
                 }
-                false
-            }
-        }
+                CenterRef::Record(view) => {
+                    sparse_walk(view, view.labeled().find(src), dst, plan.b, path, cost)
+                }
+            })
+            .unwrap_or(false)
     }
 
     /// Evaluate this scheme over `pairs` with the parallel engine
@@ -1495,26 +1476,64 @@ fn remap_tree(t: &Tree, to_host: &[u32]) -> Tree {
     Tree::from_parents(ids, parents, weights)
 }
 
+/// The sparse strategy on one center tree, resident or read in place:
+/// climb from the source (tree index `src_ix`) to the root, run a
+/// `b`-bounded search, and on a miss walk back down to the source. A
+/// source missing from its center's tree (a stale plan) is a miss at
+/// this level. Returns true when delivered.
+fn sparse_walk<T: ErtRead + ?Sized>(
+    ert: &T,
+    src_ix: Option<TreeIx>,
+    dst: NodeId,
+    b: u8,
+    path: &mut Vec<NodeId>,
+    cost: &mut Cost,
+) -> bool {
+    let Some(src_ix) = src_ix else { return false };
+    let tree = ert.labeled();
+    // Climb to the root along tree parents.
+    // lint:allow(no-alloc-in-route): per-route climb scratch, sized by tree depth; measured negligible vs the bounded search
+    let mut climb = vec![src_ix];
+    let mut at = src_ix;
+    while let Some(p) = tree.parent_of(at) {
+        *cost = cost.saturating_add(tree.parent_weight_of(at));
+        at = p;
+        climb.push(at);
+    }
+    append_tree_path(tree, &climb, path);
+    // Bounded search from the root.
+    let (outcome, tpath) = search_bounded(ert, dst, b as usize);
+    append_tree_path(tree, &tpath, path);
+    *cost = cost.saturating_add(outcome.cost());
+    match outcome {
+        SearchOutcome::Found { .. } => true,
+        SearchOutcome::NotFound { .. } => {
+            // Back down to the source for the next phase.
+            for &t in climb.iter().rev().skip(1) {
+                *cost = cost.saturating_add(tree.parent_weight_of(t));
+                path.extend(tree.host_of(t));
+            }
+            false
+        }
+    }
+}
+
 /// Append a tree-index walk to a host-id path, skipping the first node
 /// (it must equal the path's current tail).
-fn append_tree_path(tree: &Tree, tpath: &[TreeIx], path: &mut Vec<NodeId>) {
-    if tpath.is_empty() {
-        return;
-    }
-    debug_assert_eq!(
-        tree.graph_id(tpath[0]),
-        *path.last().unwrap(),
+fn append_tree_path<T: LabeledRead + ?Sized>(tree: &T, tpath: &[TreeIx], path: &mut Vec<NodeId>) {
+    debug_assert!(
+        tpath.is_empty() || tree.host_of(tpath[0]) == path.last().copied(),
         "tree walk must continue from the current node"
     );
     for &t in tpath.iter().skip(1) {
-        path.push(tree.graph_id(t));
+        path.extend(tree.host_of(t));
     }
 }
 
 // The parallel evaluator shards pairs across threads that all borrow
-// the scheme; the only interior mutability is the spill store's
-// mutex-guarded record cache, which affects load timing, never routing
-// results.
+// the scheme. The scheme has no interior mutability: a spilled or lazy
+// store fetches records into thread-local buffers, which affects load
+// timing, never routing results.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<Scheme>();

@@ -3,10 +3,10 @@
 //! A *serve* workload is the read side of the scheme's lifecycle —
 //! no construction, no ground truth, just `route(src, dst)` over a
 //! batch of queries against an already-built (typically
-//! snapshot-loaded) router. Queries are sharded by source node id, so
-//! a query's thread assignment — and therefore the exact interleaving
-//! of any store-cache effects — is a function of the workload alone,
-//! not of scheduler timing.
+//! snapshot-loaded) router. Queries are partitioned once by source
+//! node id, so a query's thread assignment — and therefore the exact
+//! sequence of records each thread's fetch buffer holds — is a
+//! function of the workload alone, not of scheduler timing.
 //!
 //! The engine reports throughput (routes/sec over the batch wall
 //! clock) and per-query latency percentiles (p50/p99, microseconds),
@@ -48,16 +48,22 @@ pub fn serve_batch(
         threads
     };
     let started = std::time::Instant::now();
+    // Each shard keeps query order, so the routes a thread serves, and
+    // their order, depend on the batch alone.
+    let mut parts: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); threads];
+    for &(s, t) in queries {
+        if let Some(part) = parts.get_mut(s.0 as usize % threads) {
+            part.push((s, t));
+        }
+    }
     let shards: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|tid| {
+        let workers: Vec<_> = parts
+            .iter()
+            .map(|part| {
                 scope.spawn(move || {
                     let mut delivered = 0usize;
-                    let mut lat_ns = Vec::new();
-                    for &(s, t) in queries {
-                        if s.0 as usize % threads != tid {
-                            continue;
-                        }
+                    let mut lat_ns = Vec::with_capacity(part.len());
+                    for &(s, t) in part {
                         let q0 = std::time::Instant::now();
                         let trace = router.route(s, t);
                         lat_ns.push(q0.elapsed().as_nanos() as u64);

@@ -23,11 +23,13 @@
 //!
 //! [`Scheme::load`] materializes every center tree in memory;
 //! [`Scheme::load_lazy`] leaves the (dominant) center-tree section on
-//! disk and serves records through the spill store's FIFO cache — the
-//! spill substrate and the snapshot format share their per-record
-//! layout, so a spilled build saves by copying record bytes verbatim.
-//! Lazy mode trades the one-time section checksum for not reading the
-//! section at all; each record decode still validates structurally.
+//! disk and serves records through the spill store, which preads each
+//! record a route needs into a per-thread buffer and searches it in
+//! place without decoding — the spill substrate and the snapshot
+//! format share their per-record layout, so a spilled build saves by
+//! copying record bytes verbatim. Lazy mode trades the one-time
+//! section checksum for not reading the section at all; every record
+//! fetch is still validated structurally before a route uses it.
 
 use std::collections::HashMap;
 use std::io;
@@ -138,7 +140,7 @@ impl Scheme {
 
     /// Load a snapshot leaving the center-tree records on disk: the
     /// snapshot file itself becomes the spill store's backing file,
-    /// and routing reloads records through its FIFO cache. Peak memory
+    /// and routing reads records in place from it. Peak memory
     /// excludes the Õ(n^{1+1/k}) tree state, exactly as a spilled
     /// build does. The center-trees section's checksum is *not*
     /// verified (that would require reading it whole); every other
@@ -198,13 +200,15 @@ impl Scheme {
 
         let center_store = if lazy {
             let (sec_off, sec_len) = sr.section_range(SEC_CENTER_TREES)?;
-            let mut index = HashMap::with_capacity(dir.len());
+            let mut index = Vec::with_capacity(dir.len());
             for &(c, off, len) in &dir {
                 if off.checked_add(len as u64).is_none_or(|end| end > sec_len) {
                     return Err(wire::invalid("center record extends past its section"));
                 }
-                index.insert(c, (sec_off + off, len));
+                index.push((c, sec_off + off, len));
             }
+            // CENTER_DIR is strictly ascending (decode_center_dir), so
+            // the index is already sorted for the store's binary search.
             CenterStore::Spilled(SpillStore::from_file_index(sr.into_file(), index))
         } else {
             let bytes = sr.section(SEC_CENTER_TREES)?;

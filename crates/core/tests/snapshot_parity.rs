@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use graphkit::gen::Family;
 use graphkit::metrics::apsp;
+use graphkit::NodeId;
 use proptest::prelude::*;
 use routing_core::{Scheme, SchemeParams};
 use sim::{pairs, Router};
@@ -161,6 +162,129 @@ fn save_is_byte_deterministic() {
     let c = TempPath::new();
     loaded.save(&c.0).expect("save c");
     assert_eq!(std::fs::read(&a.0).unwrap(), std::fs::read(&c.0).unwrap());
+}
+
+/// Snapshot section ids of the center directory and the center-tree
+/// records (stable across snapshot versions; see `snapshot.rs`).
+const SEC_CENTER_DIR: u32 = 7;
+const SEC_CENTER_TREES: u32 = 8;
+
+/// `(center, absolute offset, byte length)` of every center-tree record.
+fn center_records(path: &std::path::Path) -> Vec<(u32, usize, usize)> {
+    let sr = graphkit::wire::SnapshotReader::open(path).expect("open");
+    let dir = sr.section(SEC_CENTER_DIR).expect("center dir");
+    let (base, _) = sr.section_range(SEC_CENTER_TREES).expect("center trees");
+    let mut r = graphkit::wire::Reader::new(&dir);
+    (0..r.len().unwrap())
+        .map(|_| {
+            let (c, off, len) = (r.u32().unwrap(), r.u64().unwrap(), r.u32().unwrap());
+            (c, (base + off) as usize, len as usize)
+        })
+        .collect()
+}
+
+/// `(length-prefix offset, payload offset, words, word width)` of each
+/// of a center-tree record's 17 arrays, in wire order: hash
+/// coefficients; tree ids, parents, weights; dfs_in, dfs_out,
+/// light_depth, heavy, light_off, light hops, dfs_order; node_of_rank,
+/// rank_of, name-child offsets and entries, hash-directory offsets and
+/// entries.
+fn record_arrays(rec: &[u8]) -> Vec<(usize, usize, usize, usize)> {
+    const WIDTHS: [usize; 17] = [8, 4, 4, 8, 4, 4, 4, 4, 4, 8, 4, 4, 4, 4, 8, 4, 8];
+    let mut at = 17; // k, sigma, hash-verified flag
+    WIDTHS
+        .iter()
+        .map(|&w| {
+            let n = u64::from_le_bytes(rec[at..at + 8].try_into().unwrap()) as usize;
+            let array = (at, at + 8, n, w);
+            at += 8 + n * w;
+            array
+        })
+        .collect()
+}
+
+/// Is this record rejected by the full decoder, and by the in-place
+/// view's checks?
+fn rejections(rec: &[u8]) -> (bool, bool) {
+    use treeroute::laing::{ErrorReportingTree, ErtView};
+    let decoded = ErrorReportingTree::from_wire(&mut graphkit::wire::Reader::new(rec));
+    let viewed = ErtView::new(rec).and_then(|v| v.validate());
+    (decoded.is_err(), viewed.is_err())
+}
+
+#[test]
+fn corrupt_lazy_records_degrade_instead_of_panicking() {
+    // load_lazy skips the center-trees checksum, so the per-record
+    // check on fetch is the only guard. Flip bytes in the length
+    // prefixes, parents, DFS arrays and CSR offsets of records inside
+    // a lazily loaded snapshot: every route must still return.
+    let g = Family::Geometric.generate(80, 0x54B3);
+    let d = apsp(&g);
+    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B3));
+    let path = TempPath::new();
+    scheme.save(&path.0).expect("save");
+    let bytes = std::fs::read(&path.0).expect("read back");
+    let records = center_records(&path.0);
+    assert!(records.len() >= 3, "need center trees to corrupt");
+    // Differential, intact side: every record passes both checks.
+    for &(c, off, len) in &records {
+        assert_eq!(rejections(&bytes[off..off + len]), (false, false), "intact center {c}");
+    }
+    let queries = pairs::sample(g.n(), 120, 0x54B4);
+    let intact = Scheme::load_lazy(&path.0).expect("intact lazy load");
+    for &(s, t) in &queries {
+        assert!(intact.route(s, t).delivered, "intact {s}->{t}");
+    }
+    drop(intact);
+
+    let bad = TempPath::new();
+    let routes = |bytes: &[u8]| -> Vec<(bool, u64, Vec<NodeId>)> {
+        std::fs::write(&bad.0, bytes).expect("write corrupt");
+        let lazy = Scheme::load_lazy(&bad.0).expect("lazy load skips the tree section");
+        queries
+            .iter()
+            .map(|&(s, t)| {
+                let trace = lazy.route(s, t);
+                assert_eq!(trace.path.first(), Some(&s), "{s}->{t}");
+                (trace.delivered, trace.cost, trace.path)
+            })
+            .collect()
+    };
+    let (mut flips, mut rejected) = (0usize, 0usize);
+    for &(c, off, len) in records.iter().step_by(records.len() / 3) {
+        // The reference for a rejected record: the same record with
+        // k = 0, which fails on its header — routes must degrade
+        // exactly as if the tree were missing.
+        let mut missing = bytes.clone();
+        missing[off..off + 8].fill(0);
+        let without_tree = routes(&missing);
+        let arrays = record_arrays(&bytes[off..off + len]);
+        let mut targets: Vec<(usize, u8)> = Vec::new();
+        for &(prefix, _, _, _) in &arrays {
+            targets.extend([(prefix, 0x01), (prefix + 7, 0x80)]);
+        }
+        // parents, dfs_in, dfs_out, heavy, light_off, dfs_order,
+        // name-child offsets, hash-directory offsets.
+        for a in [2, 4, 5, 7, 8, 10, 13, 15] {
+            let (_, payload, n, w) = arrays[a];
+            for word in [1, n / 2, n - 1] {
+                targets.extend([(payload + word * w, 0x01), (payload + word * w + w - 1, 0x80)]);
+            }
+        }
+        for (at, mask) in targets {
+            let mut corrupt = bytes.clone();
+            corrupt[off + at] ^= mask;
+            let (by_decode, by_view) = rejections(&corrupt[off..off + len]);
+            assert!(!by_decode || by_view, "center {c}: flip at {at} passed the view only");
+            flips += 1;
+            rejected += by_view as usize;
+            let got = routes(&corrupt);
+            if by_view {
+                assert!(got == without_tree, "center {c}: rejected flip at {at} was routed over");
+            }
+        }
+    }
+    assert!(rejected * 2 > flips, "most flips must be caught ({rejected} of {flips})");
 }
 
 proptest! {

@@ -2,14 +2,16 @@
 //! every phase merges its chunks in deterministic order, so a build
 //! under any `set_max_threads` cap is bit-identical to the sequential
 //! one — same per-node storage breakdowns, same diagnostics, same
-//! routed walks.
+//! routed walks. The serving side is held to the same bar: lazy and
+//! spilled stores serve and evaluate like the resident one at any
+//! thread count.
 //!
 //! `set_max_threads` is process-global, so this lives in its own
 //! integration-test binary and runs as a single test function.
 
 use graphkit::gen::Family;
 use graphkit::metrics::{apsp, set_max_threads};
-use routing_core::{Scheme, SchemeParams};
+use routing_core::{serve_batch, Scheme, SchemeParams};
 use sim::{pairs, Router};
 
 fn assert_identical(a: &Scheme, b: &Scheme, label: &str) {
@@ -65,6 +67,35 @@ fn builds_are_bit_identical_at_any_thread_count() {
                 );
             }
             set_max_threads(0);
+        }
+    }
+    stores_agree_under_serve_batch_and_evaluate();
+}
+
+/// A `load_lazy` scheme and a `with_spill()` scheme serve and evaluate
+/// exactly like the resident scheme at 1, 2 and 4 threads: the same
+/// delivered counts and bit-identical stretch statistics.
+fn stores_agree_under_serve_batch_and_evaluate() {
+    let g = Family::PrefAttach.generate(140, 0x5eee);
+    let d = apsp(&g);
+    let params = SchemeParams::new(2, 0x5eee);
+    let resident = Scheme::build_with_matrix(g.clone(), &d, params);
+    let spilled = Scheme::build_with_matrix(g.clone(), &d, params.with_spill());
+    let path = std::env::temp_dir().join(format!("agm-thread-parity-{}.bin", std::process::id()));
+    resident.save(&path).expect("save");
+    let lazy = Scheme::load_lazy(&path).expect("load_lazy");
+    let _ = std::fs::remove_file(&path);
+    let work = pairs::sample(g.n(), 500, 0x5eef);
+    for threads in [1usize, 2, 4] {
+        let base = resident.evaluate(&d, &work, threads);
+        let served = serve_batch(&resident, &work, threads).delivered;
+        for (label, other) in [("lazy", &lazy), ("spilled", &spilled)] {
+            let ev = other.evaluate(&d, &work, threads);
+            let tag = format!("{label} x{threads}");
+            assert_eq!((ev.pairs, ev.failures), (base.pairs, base.failures), "{tag}");
+            assert_eq!(ev.max_stretch.to_bits(), base.max_stretch.to_bits(), "{tag}");
+            assert_eq!(ev.mean_stretch.to_bits(), base.mean_stretch.to_bits(), "{tag}");
+            assert_eq!(serve_batch(other, &work, threads).delivered, served, "{tag}");
         }
     }
 }

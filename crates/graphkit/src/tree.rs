@@ -90,42 +90,54 @@ impl Tree {
         if n == 0 {
             return Err("tree must be non-empty".to_string());
         }
-        if parents[0] != u32::MAX {
+        if parents.first() != Some(&u32::MAX) {
             return Err("node 0 must be the root".to_string());
         }
-        // Children CSR.
-        let mut deg = vec![0u32; n];
-        for (i, &p) in parents.iter().enumerate() {
-            if i != 0 {
-                if p == u32::MAX || (p as usize) >= n {
-                    return Err(format!("bad parent for node {i}"));
-                }
-                deg[p as usize] += 1;
-            }
-        }
+        // Children CSR: count each parent's children one slot to the
+        // right, then prefix-sum. Every access is checked (`get`), so a
+        // corrupt record is an `Err` here, never an index panic.
         let mut child_offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            child_offsets[i + 1] = child_offsets[i] + deg[i];
-        }
-        let mut children = vec![0 as TreeIx; child_offsets[n] as usize];
-        let mut cursor: Vec<u32> = child_offsets[..n].to_vec();
-        for (i, &p) in parents.iter().enumerate() {
-            if i != 0 {
-                children[cursor[p as usize] as usize] = i as TreeIx;
-                cursor[p as usize] += 1;
+        for (i, &p) in parents.iter().enumerate().skip(1) {
+            match child_offsets.get_mut(p as usize + 1) {
+                Some(slot) if (p as usize) < n => *slot += 1,
+                _ => return Err(format!("bad parent for node {i}")),
             }
         }
-        // Depths via BFS from the root (children arrays make this easy);
-        // also validates acyclicity by counting visits.
+        let mut sum = 0u32;
+        for off in child_offsets.iter_mut() {
+            sum += *off;
+            *off = sum;
+        }
+        let mut children = vec![0 as TreeIx; n - 1];
+        let mut cursor = child_offsets.clone();
+        for (i, &p) in parents.iter().enumerate().skip(1) {
+            if let Some(at) = cursor.get_mut(p as usize) {
+                if let Some(slot) = children.get_mut(*at as usize) {
+                    *slot = i as TreeIx;
+                }
+                *at += 1;
+            }
+        }
+        // Depths via DFS from the root (children arrays make this easy);
+        // also validates acyclicity by counting visits — a node on a
+        // cycle is never reached from the root.
         let mut depths = vec![Cost::MAX; n];
-        depths[0] = 0;
         let mut stack = vec![0 as TreeIx];
         let mut visited = 1usize;
+        if let Some(root) = depths.first_mut() {
+            *root = 0;
+        }
         while let Some(u) = stack.pop() {
-            let (s, e) =
-                (child_offsets[u as usize] as usize, child_offsets[u as usize + 1] as usize);
-            for &c in &children[s..e] {
-                depths[c as usize] = depths[u as usize].saturating_add(parent_weights[c as usize]);
+            let du = depths.get(u as usize).copied().unwrap_or(0);
+            let kids = child_offsets
+                .get(u as usize..u as usize + 2)
+                .and_then(|w| children.get(*w.first()? as usize..*w.last()? as usize))
+                .unwrap_or(&[]);
+            for &c in kids {
+                let w = parent_weights.get(c as usize).copied().unwrap_or(0);
+                if let Some(d) = depths.get_mut(c as usize) {
+                    *d = du.saturating_add(w);
+                }
                 visited += 1;
                 stack.push(c);
             }

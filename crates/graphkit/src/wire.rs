@@ -193,34 +193,44 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes).map_err(|_| invalid("non-UTF-8 string"))
     }
 
+    /// Read a length-prefixed array of `width`-byte words as one
+    /// bounds check: the `n × width` payload is taken whole, then split
+    /// into fixed-size words.
+    fn words<const W: usize>(&mut self) -> io::Result<&'a [[u8; W]]> {
+        let n = self.len()?;
+        let bytes = self.take(n.checked_mul(W).ok_or_else(truncated)?)?;
+        Ok(bytes.as_chunks::<W>().0)
+    }
+
+    /// Borrow a length-prefixed `u32` slice in place, without decoding.
+    pub fn u32_view(&mut self) -> io::Result<U32View<'a>> {
+        self.words().map(U32View)
+    }
+
+    /// Borrow a length-prefixed `u64` slice in place, without decoding.
+    pub fn u64_view(&mut self) -> io::Result<U64View<'a>> {
+        self.words().map(U64View)
+    }
+
+    /// Borrow a length-prefixed `(u32, u32)` pair slice in place,
+    /// without decoding.
+    pub fn pair_view(&mut self) -> io::Result<PairView<'a>> {
+        self.words().map(PairView)
+    }
+
     /// Read a length-prefixed `u32` slice.
     pub fn slice_u32(&mut self) -> io::Result<Vec<u32>> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        Ok(self.u32_view()?.iter().collect())
     }
 
     /// Read a length-prefixed `u64` slice.
     pub fn slice_u64(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
+        Ok(self.u64_view()?.iter().collect())
     }
 
     /// Read a length-prefixed `(u32, u32)` pair slice.
     pub fn slice_pairs(&mut self) -> io::Result<Vec<(u32, u32)>> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u32()?, self.u32()?));
-        }
-        Ok(out)
+        Ok(self.pair_view()?.iter().collect())
     }
 
     /// Bytes consumed so far.
@@ -231,6 +241,112 @@ impl<'a> Reader<'a> {
     /// True if every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos == self.buf.len()
+    }
+}
+
+/// A little-endian `u32` array read in place from a record (see
+/// [`Reader::u32_view`]). Every read is a checked `get`: an index past
+/// the end is `None`, never a panic.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct U32View<'a>(&'a [[u8; 4]]);
+
+impl<'a> U32View<'a> {
+    /// Number of words.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if the array has no words.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Word `i`, if in range.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<u32> {
+        self.0.get(i).map(|b| u32::from_le_bytes(*b))
+    }
+
+    /// The words in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        self.0.iter().map(|b| u32::from_le_bytes(*b))
+    }
+}
+
+/// A little-endian `u64` array read in place (see [`Reader::u64_view`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct U64View<'a>(&'a [[u8; 8]]);
+
+impl<'a> U64View<'a> {
+    /// Number of words.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if the array has no words.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Word `i`, if in range.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<u64> {
+        self.0.get(i).map(|b| u64::from_le_bytes(*b))
+    }
+
+    /// The words in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.0.iter().map(|b| u64::from_le_bytes(*b))
+    }
+}
+
+/// A little-endian `(u32, u32)` pair array read in place (see
+/// [`Reader::pair_view`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PairView<'a>(&'a [[u8; 8]]);
+
+/// Iterator over a [`PairView`].
+pub type PairIter<'a> = std::iter::Map<std::slice::Iter<'a, [u8; 8]>, fn(&[u8; 8]) -> (u32, u32)>;
+
+#[inline]
+fn pair_of(b: &[u8; 8]) -> (u32, u32) {
+    let [a0, a1, a2, a3, b0, b1, b2, b3] = *b;
+    (u32::from_le_bytes([a0, a1, a2, a3]), u32::from_le_bytes([b0, b1, b2, b3]))
+}
+
+impl<'a> PairView<'a> {
+    /// Number of pairs.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if the array has no pairs.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Pair `i`, if in range.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<(u32, u32)> {
+        self.0.get(i).map(pair_of)
+    }
+
+    /// Pairs `start..end`, if that range is in bounds.
+    #[inline]
+    pub fn range(&self, start: usize, end: usize) -> Option<PairView<'a>> {
+        self.0.get(start..end).map(PairView)
+    }
+
+    /// The pairs in order.
+    #[inline]
+    pub fn iter(&self) -> PairIter<'a> {
+        self.0.iter().map(pair_of as fn(&[u8; 8]) -> (u32, u32))
     }
 }
 
@@ -555,6 +671,43 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.len().is_err());
+    }
+
+    #[test]
+    fn views_read_in_place_what_slices_decode() {
+        let mut w = Writer::new();
+        w.slice_u32(&[7, u32::MAX, 0]);
+        w.slice_u64(&[u64::MAX, 3]);
+        w.slice_pairs(&[(1, 2), (u32::MAX, 5)]);
+        w.slice_u32(&[]);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let (a, b, c, d) = (
+            r.u32_view().unwrap(),
+            r.u64_view().unwrap(),
+            r.pair_view().unwrap(),
+            r.u32_view().unwrap(),
+        );
+        assert!(r.is_empty());
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![7, u32::MAX, 0]);
+        assert_eq!((a.len(), a.get(1), a.get(3)), (3, Some(u32::MAX), None));
+        assert_eq!((b.get(0), b.get(2)), (Some(u64::MAX), None));
+        assert_eq!(c.iter().collect::<Vec<_>>(), vec![(1, 2), (u32::MAX, 5)]);
+        assert_eq!(c.range(1, 2).map(|v| v.get(0)), Some(Some((u32::MAX, 5))));
+        assert!(c.range(1, 3).is_none() && c.range(2, 1).is_none());
+        assert!(d.is_empty() && d.get(0).is_none());
+        // A payload one byte short of its length prefix is the same
+        // truncation error the bulk decoders report.
+        for cut in 1..bytes.len() {
+            let mut r = Reader::new(&bytes[..cut]);
+            let whole = r.slice_u32().and_then(|_| r.slice_u64()).and_then(|_| r.slice_pairs());
+            let mut r = Reader::new(&bytes[..cut]);
+            let view = r.u32_view().and_then(|_| r.u64_view()).and_then(|_| r.pair_view());
+            assert_eq!(whole.is_err(), view.is_err(), "cut={cut}");
+            if let Err(e) = whole {
+                assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut={cut}");
+            }
+        }
     }
 
     #[test]

@@ -40,13 +40,7 @@ impl PolyHash {
 
     /// Evaluate the polynomial at `x` (Horner over GF(p)).
     pub fn eval(&self, x: u64) -> u64 {
-        let x = x % FIELD_P;
-        let mut acc: u64 = 0;
-        for &c in &self.coeffs {
-            acc = mul_mod(acc, x);
-            acc = add_mod(acc, c);
-        }
-        acc
+        eval_coeffs(self.coeffs.iter().copied(), x)
     }
 
     /// Hash `x` to `k` digits, each in `0..sigma` (most significant
@@ -54,7 +48,6 @@ impl PolyHash {
     pub fn digits(&self, x: u64, sigma: u64, k: usize) -> Vec<u32> {
         assert!(sigma >= 1);
         let mut v = self.eval(x);
-        // lint:allow(no-alloc-in-route): k-word digit buffer (k ≤ ~8) allocated once per bounded search, returned to the caller
         let mut out = vec![0u32; k];
         for d in out.iter_mut().rev() {
             *d = (v % sigma) as u32;
@@ -92,6 +85,37 @@ impl PolyHash {
     pub fn storage_bits(&self) -> u64 {
         self.coeffs.len() as u64 * 61
     }
+}
+
+/// Horner evaluation of the polynomial with coefficients `coeffs`
+/// (highest degree first, each `< FIELD_P`) at `x` — [`PolyHash::eval`]
+/// over coefficients that need not live in a [`PolyHash`], such as
+/// ones read in place from a stored record.
+pub fn eval_coeffs(coeffs: impl IntoIterator<Item = u64>, x: u64) -> u64 {
+    let x = x % FIELD_P;
+    let mut acc: u64 = 0;
+    for c in coeffs {
+        acc = mul_mod(acc, x);
+        acc = add_mod(acc, c);
+    }
+    acc
+}
+
+/// Digit `i` (most significant first) of the `k`-digit base-`sigma`
+/// expansion of the hash value `v`: `PolyHash::digits(x, sigma, k)[i]`
+/// when `v = eval(x)`, computed without materializing the digit string.
+/// Out-of-range `i` (`i ≥ k`) and `sigma ≤ 1` yield digit 0.
+pub fn digit_at(mut v: u64, sigma: u64, k: usize, i: usize) -> u32 {
+    if sigma <= 1 || i >= k {
+        return 0;
+    }
+    for _ in i.saturating_add(1)..k {
+        if v == 0 {
+            break;
+        }
+        v /= sigma;
+    }
+    (v % sigma) as u32
 }
 
 #[inline]
@@ -138,6 +162,21 @@ mod tests {
             assert_eq!(d.len(), 5);
             assert!(d.iter().all(|&x| x < 16));
             assert_eq!(d, h.digits(x, 16, 5));
+        }
+    }
+
+    #[test]
+    fn digit_at_matches_digits() {
+        let h = PolyHash::new(10, 5);
+        for (sigma, k) in [(1u64, 3usize), (2, 70), (7, 4), (16, 5), (1 << 20, 3)] {
+            for x in 0..100u64 {
+                let d = h.digits(x, sigma, k);
+                let v = h.eval(x);
+                for (i, &di) in d.iter().enumerate() {
+                    assert_eq!(digit_at(v, sigma, k, i), di, "sigma={sigma} k={k} x={x} i={i}");
+                }
+                assert_eq!(digit_at(v, sigma, k, k), 0);
+            }
         }
     }
 

@@ -19,8 +19,8 @@
 //! downstream within Theorem 1's `O(k² n^{1/k} log³ n)` (see DESIGN.md).
 
 use graphkit::bits::{bits_for_node, StorageCost};
-use graphkit::wire::{self, Reader, Writer};
-use graphkit::{Cost, Tree, TreeIx};
+use graphkit::wire::{self, PairView, Reader, U32View, U64View, Writer};
+use graphkit::{Cost, NodeId, Tree, TreeIx, Weight};
 use std::io;
 
 /// One light edge on the root→v path: the light child entered, plus its
@@ -70,8 +70,53 @@ impl LabelRef<'_> {
     }
 }
 
+/// Read access to a destination label, wherever its hops live.
+pub trait LabelRead: Copy {
+    /// DFS number of the destination.
+    fn dfs(&self) -> u32;
+    /// Light hop `i` of the root→destination path, if the path has one.
+    fn hop(&self, i: u32) -> Option<LightHop>;
+}
+
+impl LabelRead for LabelRef<'_> {
+    #[inline]
+    fn dfs(&self) -> u32 {
+        self.dfs
+    }
+
+    #[inline]
+    fn hop(&self, i: u32) -> Option<LightHop> {
+        self.light_path.get(i as usize).copied()
+    }
+}
+
+/// Read access to a labeled tree's arenas: the one surface the routing
+/// algorithms ([`step_toward`], [`route_into`]) run against.
+/// [`LabeledTree`] implements it over its decoded store and
+/// [`LabeledView`] over record bytes read in place, so both route
+/// through the same code. Every accessor is total: an index out of
+/// range is `None` (or weight 0), never a panic.
+pub trait LabeledRead {
+    /// The label type [`LabeledRead::label_of`] hands out.
+    type Label<'a>: LabelRead
+    where
+        Self: 'a;
+    /// Number of tree nodes.
+    fn size(&self) -> usize;
+    /// Host-graph id of tree node `t`.
+    fn host_of(&self, t: TreeIx) -> Option<NodeId>;
+    /// Parent of `t` (`None` at the root).
+    fn parent_of(&self, t: TreeIx) -> Option<TreeIx>;
+    /// Weight of the edge from `t` to its parent.
+    fn parent_weight_of(&self, t: TreeIx) -> Weight;
+    /// Routing info `µ(T,t)`.
+    fn local_at(&self, t: TreeIx) -> Option<NodeLocal>;
+    /// Label `λ(T,t)`.
+    fn label_of(&self, t: TreeIx) -> Option<Self::Label<'_>>;
+}
+
 /// Per-node routing information `µ(T,u)`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeLocal {
     /// Own DFS number (= interval start).
     pub dfs_in: u32,
@@ -151,69 +196,14 @@ impl LabeledStore {
         w.slice_u32(&self.dfs_order);
     }
 
-    /// Inverse of [`LabeledStore::to_wire`]: one decode pass plus O(m)
-    /// invariant checks, so a corrupt record errors instead of leaving
-    /// out-of-bounds indices for the read path to trip over.
-    // lint:allow-fn(panic-free-serve): validate-then-index — every array is length- and range-checked before the indexing passes below
+    /// Inverse of [`LabeledStore::to_wire`]: the record is read in
+    /// place and validated ([`LabeledView::validate_tree`]) before a
+    /// single array is copied out, so a corrupt record errors instead
+    /// of leaving out-of-bounds indices for the read path to trip over.
     pub fn from_wire(r: &mut Reader) -> io::Result<Self> {
-        use wire::invalid;
-        let tree = wire::read_tree(r)?;
-        let m = tree.size();
-        let dfs_in = r.slice_u32()?;
-        let dfs_out = r.slice_u32()?;
-        let light_depth = r.slice_u32()?;
-        let heavy = r.slice_u32()?;
-        let light_off = r.slice_u32()?;
-        let hops = r.slice_pairs()?;
-        let dfs_order = r.slice_u32()?;
-        if dfs_in.len() != m
-            || dfs_out.len() != m
-            || light_depth.len() != m
-            || heavy.len() != 3 * m
-            || light_off.len() != m + 1
-            || dfs_order.len() != m
-        {
-            return Err(invalid("labeled store arrays have mismatched lengths"));
-        }
-        // dfs_order must be a permutation inverse to dfs_in.
-        for (t, &d) in dfs_in.iter().enumerate() {
-            if d as usize >= m || dfs_order[d as usize] as usize != t {
-                return Err(invalid("labeled store DFS order is not a permutation"));
-            }
-        }
-        if light_off[0] != 0 || light_off[m] as usize != hops.len() {
-            return Err(invalid("labeled store light-path arena bounds"));
-        }
-        let mut locals = Vec::with_capacity(m);
-        for t in 0..m {
-            if dfs_out[t] <= dfs_in[t] || dfs_out[t] as usize > m {
-                return Err(invalid("labeled store subtree interval out of range"));
-            }
-            if light_off[t + 1] < light_off[t] || light_off[t + 1] - light_off[t] != light_depth[t]
-            {
-                return Err(invalid("labeled store light offsets disagree with depths"));
-            }
-            let hc = heavy[3 * t + 2];
-            let h = if hc == u32::MAX {
-                None
-            } else if (hc as usize) < m {
-                Some((heavy[3 * t], heavy[3 * t + 1], hc))
-            } else {
-                return Err(invalid("labeled store heavy child out of range"));
-            };
-            locals.push(NodeLocal {
-                dfs_in: dfs_in[t],
-                dfs_out: dfs_out[t],
-                heavy: h,
-                light_depth: light_depth[t],
-            });
-        }
-        let light_hops: Vec<LightHop> =
-            hops.into_iter().map(|(child_dfs, child)| LightHop { child_dfs, child }).collect();
-        if light_hops.iter().any(|h| h.child as usize >= m) {
-            return Err(invalid("labeled store light hop out of range"));
-        }
-        Ok(LabeledStore { tree, locals, light_off, light_hops, dfs_order })
+        let view = LabeledView::new(r).map_err(wire::invalid)?;
+        view.validate_tree().map_err(wire::invalid)?;
+        view.to_store()
     }
 }
 
@@ -366,58 +356,16 @@ impl LabeledTree {
     /// One forwarding decision at `at` toward `label` — uses only
     /// `µ(T,at)` and the label (plus physical ports).
     pub fn route_step(&self, at: TreeIx, label: LabelRef<'_>) -> Step {
-        // An out-of-range position (corrupt caller state) is "not in
-        // this tree", not a panic.
-        let Some(me) = self.store.locals.get(at as usize) else {
-            return Step::NotInTree;
-        };
-        if label.dfs == me.dfs_in {
-            return Step::Deliver;
-        }
-        if label.dfs < me.dfs_in || label.dfs >= me.dfs_out {
-            // Destination outside my subtree: go up.
-            return match self.store.tree.parent(at) {
-                Some(p) => Step::Forward(p),
-                None => Step::NotInTree,
-            };
-        }
-        if let Some((hi, ho, hc)) = me.heavy {
-            if label.dfs >= hi && label.dfs < ho {
-                return Step::Forward(hc);
-            }
-        }
-        // Destination is in one of my light subtrees; the light path
-        // entry at index `light_depth` is the edge leaving me.
-        match label.light_path.get(me.light_depth as usize) {
-            Some(hop) if hop.child_dfs > me.dfs_in && hop.child_dfs < me.dfs_out => {
-                Step::Forward(hop.child)
-            }
-            _ => Step::NotInTree,
-        }
+        step_toward(self, at, label)
     }
 
     /// Route from `from` to the node carrying `label`. Returns the visited
     /// tree path (inclusive) and its cost, or `None` for foreign labels.
     pub fn route(&self, from: TreeIx, label: LabelRef<'_>) -> Option<(Vec<TreeIx>, Cost)> {
-        let mut at = from;
         // lint:allow(no-alloc-in-route): the returned walk owns its path; one Vec per tree route is the API
-        let mut path = vec![at];
-        let mut cost: Cost = 0;
-        // A tree walk never revisits nodes; size() + 1 steps means the
-        // label's invariants are broken (corrupt light path). Treat it
-        // like any other foreign label — undeliverable, not a panic.
-        for _ in 0..=self.store.tree.size() {
-            match self.route_step(at, label) {
-                Step::Deliver => return Some((path, cost)),
-                Step::NotInTree => return None,
-                Step::Forward(next) => {
-                    cost += edge_weight(&self.store.tree, at, next);
-                    at = next;
-                    path.push(at);
-                }
-            }
-        }
-        None
+        let mut path = vec![from];
+        let (_, cost) = route_into(self, from, label, &mut path)?;
+        Some((path, cost))
     }
 
     /// Max light-path length over all labels (≤ ceil(log2 m)).
@@ -442,21 +390,350 @@ impl LabeledTree {
     }
 }
 
+impl LabeledRead for LabeledTree {
+    type Label<'a> = LabelRef<'a>;
+
+    #[inline]
+    fn size(&self) -> usize {
+        self.store.tree.size()
+    }
+
+    #[inline]
+    fn host_of(&self, t: TreeIx) -> Option<NodeId> {
+        self.store.tree.graph_ids().get(t as usize).map(|&g| NodeId(g))
+    }
+
+    #[inline]
+    fn parent_of(&self, t: TreeIx) -> Option<TreeIx> {
+        if (t as usize) < self.size() {
+            self.store.tree.parent(t)
+        } else {
+            None
+        }
+    }
+
+    #[inline]
+    fn parent_weight_of(&self, t: TreeIx) -> Weight {
+        if (t as usize) < self.size() {
+            self.store.tree.parent_weight(t)
+        } else {
+            0
+        }
+    }
+
+    #[inline]
+    fn local_at(&self, t: TreeIx) -> Option<NodeLocal> {
+        self.store.locals.get(t as usize).copied()
+    }
+
+    #[inline]
+    fn label_of(&self, t: TreeIx) -> Option<LabelRef<'_>> {
+        let s = &self.store;
+        let t = t as usize;
+        let (a, b) = (*s.light_off.get(t)? as usize, *s.light_off.get(t + 1)? as usize);
+        Some(LabelRef { dfs: s.locals.get(t)?.dfs_in, light_path: s.light_hops.get(a..b)? })
+    }
+}
+
+/// One forwarding decision at `at` toward `label` — uses only `µ(T,at)`
+/// and the label (plus physical ports). An out-of-range position
+/// (corrupt caller state) is "not in this tree", not a panic.
+#[inline]
+pub fn step_toward<S: LabeledRead + ?Sized>(s: &S, at: TreeIx, label: impl LabelRead) -> Step {
+    let Some(me) = s.local_at(at) else {
+        return Step::NotInTree;
+    };
+    let dfs = label.dfs();
+    if dfs == me.dfs_in {
+        return Step::Deliver;
+    }
+    if dfs < me.dfs_in || dfs >= me.dfs_out {
+        // Destination outside my subtree: go up.
+        return match s.parent_of(at) {
+            Some(p) => Step::Forward(p),
+            None => Step::NotInTree,
+        };
+    }
+    if let Some((hi, ho, hc)) = me.heavy {
+        if dfs >= hi && dfs < ho {
+            return Step::Forward(hc);
+        }
+    }
+    // Destination is in one of my light subtrees; the light path
+    // entry at index `light_depth` is the edge leaving me.
+    match label.hop(me.light_depth) {
+        Some(hop) if hop.child_dfs > me.dfs_in && hop.child_dfs < me.dfs_out => {
+            Step::Forward(hop.child)
+        }
+        _ => Step::NotInTree,
+    }
+}
+
+/// Route from `from` to the node carrying `label`, appending every node
+/// entered after `from` to `path`. Returns the node reached and the
+/// walk's cost, or `None` — with `path` restored — for a label that
+/// does not route here. A walk never revisits a node, so `size() + 1`
+/// steps, or a step between non-adjacent nodes, means the label or the
+/// store is corrupt: undeliverable, never a panic or an endless walk.
+pub fn route_into<S: LabeledRead + ?Sized>(
+    s: &S,
+    from: TreeIx,
+    label: impl LabelRead,
+    path: &mut Vec<TreeIx>,
+) -> Option<(TreeIx, Cost)> {
+    let mark = path.len();
+    let mut at = from;
+    let mut cost: Cost = 0;
+    for _ in 0..=s.size() {
+        match step_toward(s, at, label) {
+            Step::Deliver => return Some((at, cost)),
+            Step::NotInTree => break,
+            Step::Forward(next) => {
+                let Some(w) = edge_weight_of(s, at, next) else { break };
+                cost = cost.saturating_add(w);
+                at = next;
+                path.push(at);
+            }
+        }
+    }
+    path.truncate(mark);
+    None
+}
+
+/// Weight of the tree edge between `a` and `b`, if they are adjacent.
+#[inline]
+fn edge_weight_of<S: LabeledRead + ?Sized>(s: &S, a: TreeIx, b: TreeIx) -> Option<Weight> {
+    if s.parent_of(a) == Some(b) {
+        Some(s.parent_weight_of(a))
+    } else if s.parent_of(b) == Some(a) {
+        Some(s.parent_weight_of(b))
+    } else {
+        None
+    }
+}
+
+/// A [`LabeledStore`] record ([`LabeledStore::to_wire`]) read in place:
+/// every array stays in the record bytes, and every read is a checked
+/// little-endian word read. Routing over a view runs the same
+/// algorithms as over a decoded [`LabeledTree`].
+#[derive(Clone, Copy, Debug)]
+pub struct LabeledView<'a> {
+    graph_ids: U32View<'a>,
+    parents: U32View<'a>,
+    weights: U64View<'a>,
+    dfs_in: U32View<'a>,
+    dfs_out: U32View<'a>,
+    light_depth: U32View<'a>,
+    /// `(dfs_in, dfs_out, tree index)` of each node's heavy child,
+    /// `u32::MAX` index at leaves.
+    heavy: U32View<'a>,
+    light_off: U32View<'a>,
+    light_hops: PairView<'a>,
+    dfs_order: U32View<'a>,
+}
+
+impl<'a> LabeledView<'a> {
+    /// Borrow the record at the reader's position: walk its length
+    /// prefixes and check every array's length against the tree size.
+    /// O(1) in the tree size; [`LabeledView::validate_tree`] checks contents.
+    /// Errors are static reasons, so rejecting a record never allocates.
+    pub fn new(r: &mut Reader<'a>) -> Result<Self, &'static str> {
+        let arrays = |r: &mut Reader<'a>| -> io::Result<Self> {
+            Ok(LabeledView {
+                graph_ids: r.u32_view()?,
+                parents: r.u32_view()?,
+                weights: r.u64_view()?,
+                dfs_in: r.u32_view()?,
+                dfs_out: r.u32_view()?,
+                light_depth: r.u32_view()?,
+                heavy: r.u32_view()?,
+                light_off: r.u32_view()?,
+                light_hops: r.pair_view()?,
+                dfs_order: r.u32_view()?,
+            })
+        };
+        let v = arrays(r).map_err(|_| "truncated labeled store record")?;
+        let m = v.graph_ids.len();
+        if m == 0 || v.parents.len() != m || v.weights.len() != m {
+            return Err("inconsistent tree record");
+        }
+        if v.dfs_in.len() != m
+            || v.dfs_out.len() != m
+            || v.light_depth.len() != m
+            || v.heavy.len() != 3 * m
+            || v.light_off.len() != m + 1
+            || v.dfs_order.len() != m
+        {
+            return Err("labeled store arrays have mismatched lengths");
+        }
+        Ok(v)
+    }
+
+    /// Every check [`LabeledStore::from_wire`] (and the tree decode
+    /// beneath it) makes, run in place without allocating. Acyclicity
+    /// is checked as `dfs_in[parent[t]] < dfs_in[t]` for every `t ≠ 0`:
+    /// parents precede children in the heavy-first DFS, and with
+    /// `dfs_in` a permutation this also proves every node reaches the
+    /// root — stronger than the decoder's visit count, which accepts a
+    /// tree whose DFS numbering ignores its parents.
+    pub fn validate_tree(&self) -> Result<(), &'static str> {
+        let m = self.size();
+        for (t, d) in self.dfs_in.iter().enumerate() {
+            if self.dfs_order.get(d as usize) != Some(t as u32) {
+                return Err("labeled store DFS order is not a permutation");
+            }
+        }
+        if self.parents.get(0) != Some(u32::MAX) {
+            return Err("node 0 must be the root");
+        }
+        for (p, d) in self.parents.iter().zip(self.dfs_in.iter()).skip(1) {
+            if (p as usize) >= m {
+                return Err("bad parent in tree record");
+            }
+            if self.dfs_in.get(p as usize).is_none_or(|pd| pd >= d) {
+                return Err("parent relation is not a tree in DFS order");
+            }
+        }
+        if self.light_off.get(0) != Some(0)
+            || self.light_off.get(m) != Some(self.light_hops.len() as u32)
+        {
+            return Err("labeled store light-path arena bounds");
+        }
+        let per_node = self
+            .dfs_in
+            .iter()
+            .zip(self.dfs_out.iter())
+            .zip(self.light_depth.iter())
+            .zip(self.light_off.iter().zip(self.light_off.iter().skip(1)))
+            .zip(self.heavy.iter().skip(2).step_by(3));
+        for ((((din, dout), ld), (off, next)), hc) in per_node {
+            if dout <= din || dout as usize > m {
+                return Err("labeled store subtree interval out of range");
+            }
+            if next < off || next - off != ld {
+                return Err("labeled store light offsets disagree with depths");
+            }
+            if hc != u32::MAX && hc as usize >= m {
+                return Err("labeled store heavy child out of range");
+            }
+        }
+        if self.light_hops.iter().any(|(_, child)| child as usize >= m) {
+            return Err("labeled store light hop out of range");
+        }
+        Ok(())
+    }
+
+    /// Copy a validated view out into an owned store.
+    pub(crate) fn to_store(self) -> io::Result<LabeledStore> {
+        let tree = Tree::try_from_parents(
+            self.graph_ids.iter().collect(),
+            self.parents.iter().collect(),
+            self.weights.iter().collect(),
+        )
+        .map_err(|msg| wire::invalid(&msg))?;
+        // Exact capacity: resident loads keep every tree's locals.
+        let mut locals = Vec::with_capacity(self.size());
+        for t in 0..self.size() as TreeIx {
+            let local = self.local_at(t);
+            locals
+                .push(local.ok_or_else(|| {
+                    wire::invalid("labeled store arrays have mismatched lengths")
+                })?);
+        }
+        Ok(LabeledStore {
+            tree,
+            locals,
+            light_off: self.light_off.iter().collect(),
+            light_hops: self
+                .light_hops
+                .iter()
+                .map(|(child_dfs, child)| LightHop { child_dfs, child })
+                .collect(),
+            dfs_order: self.dfs_order.iter().collect(),
+        })
+    }
+
+    /// Tree index of host node `v`: a scan of the host-id array.
+    pub fn find(&self, v: NodeId) -> Option<TreeIx> {
+        self.graph_ids.iter().position(|g| g == v.0).map(|i| i as TreeIx)
+    }
+}
+
+/// A label read in place from a [`LabeledView`].
+#[derive(Clone, Copy, Debug)]
+pub struct ViewLabel<'a> {
+    dfs: u32,
+    hops: PairView<'a>,
+}
+
+impl LabelRead for ViewLabel<'_> {
+    #[inline]
+    fn dfs(&self) -> u32 {
+        self.dfs
+    }
+
+    #[inline]
+    fn hop(&self, i: u32) -> Option<LightHop> {
+        self.hops.get(i as usize).map(|(child_dfs, child)| LightHop { child_dfs, child })
+    }
+}
+
+impl<'a> LabeledRead for LabeledView<'a> {
+    type Label<'b>
+        = ViewLabel<'a>
+    where
+        Self: 'b;
+
+    #[inline]
+    fn size(&self) -> usize {
+        self.graph_ids.len()
+    }
+
+    #[inline]
+    fn host_of(&self, t: TreeIx) -> Option<NodeId> {
+        self.graph_ids.get(t as usize).map(NodeId)
+    }
+
+    #[inline]
+    fn parent_of(&self, t: TreeIx) -> Option<TreeIx> {
+        self.parents.get(t as usize).filter(|&p| p != u32::MAX)
+    }
+
+    #[inline]
+    fn parent_weight_of(&self, t: TreeIx) -> Weight {
+        self.weights.get(t as usize).unwrap_or(0)
+    }
+
+    #[inline]
+    fn local_at(&self, t: TreeIx) -> Option<NodeLocal> {
+        let t = t as usize;
+        let hc = self.heavy.get(3 * t + 2)?;
+        let heavy = if hc == u32::MAX {
+            None
+        } else {
+            Some((self.heavy.get(3 * t)?, self.heavy.get(3 * t + 1)?, hc))
+        };
+        Some(NodeLocal {
+            dfs_in: self.dfs_in.get(t)?,
+            dfs_out: self.dfs_out.get(t)?,
+            heavy,
+            light_depth: self.light_depth.get(t)?,
+        })
+    }
+
+    #[inline]
+    fn label_of(&self, t: TreeIx) -> Option<ViewLabel<'a>> {
+        let t = t as usize;
+        let (a, b) = (self.light_off.get(t)? as usize, self.light_off.get(t + 1)? as usize);
+        Some(ViewLabel { dfs: self.dfs_in.get(t)?, hops: self.light_hops.range(a, b)? })
+    }
+}
+
 impl StorageCost for RouteLabel {
     fn storage_bits(&self) -> u64 {
         // Conservative: 32-bit fields; schemes that know their tree size
         // should prefer `LabeledTree::label_bits`.
         32 + self.light_path.len() as u64 * 64
-    }
-}
-
-/// Weight of the tree edge between adjacent nodes `a` and `b`.
-fn edge_weight(tree: &Tree, a: TreeIx, b: TreeIx) -> Cost {
-    if tree.parent(a) == Some(b) {
-        tree.parent_weight(a)
-    } else {
-        debug_assert_eq!(tree.parent(b), Some(a), "route step between non-adjacent nodes");
-        tree.parent_weight(b)
     }
 }
 

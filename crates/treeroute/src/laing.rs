@@ -33,11 +33,12 @@
 
 use graphkit::bits::{bits_for_node, StorageCost};
 use graphkit::ids::ceil_log2;
-use graphkit::{wire, Cost, NodeId, Tree, TreeIx};
+use graphkit::wire::{self, PairIter, PairView, Reader, U32View, U64View};
+use graphkit::{Cost, NodeId, Tree, TreeIx};
 use std::io;
 
-use crate::hashing::PolyHash;
-use crate::labeled::LabeledTree;
+use crate::hashing::{digit_at, eval_coeffs, PolyHash, FIELD_P};
+use crate::labeled::{route_into, LabeledRead, LabeledTree, LabeledView};
 use crate::names::Naming;
 
 /// Outcome of a j-bounded search.
@@ -118,65 +119,28 @@ impl ErtStore {
         w.slice_pairs(&self.hd);
     }
 
-    /// Inverse of [`ErtStore::to_wire`] with O(m + directory) validation:
-    /// corrupt bytes are an [`io::Error`], never a panic or a latent
-    /// out-of-bounds index.
-    // lint:allow-fn(panic-free-serve): validate-then-index — CSR bounds and directory ranges are checked before the indexing passes below
+    /// Inverse of [`ErtStore::to_wire`]: the record is read in place
+    /// ([`ErtView::read`]) and validated ([`ErtView::validate`]) before
+    /// a single array is copied out, so corrupt bytes are an
+    /// [`io::Error`], never a panic or a latent out-of-bounds index.
     pub fn from_wire(r: &mut wire::Reader) -> io::Result<Self> {
-        use graphkit::wire::invalid;
-        let k = r.u64()? as usize;
-        let sigma = r.u64()?;
-        let verified = r.u8()? != 0;
-        let coeffs = r.slice_u64()?;
-        if k == 0 || sigma == 0 || coeffs.is_empty() {
-            return Err(invalid("bad ERT record header"));
-        }
-        let hash = PolyHash::from_coeffs(coeffs);
-        let labeled = LabeledTree::from_store(crate::labeled::LabeledStore::from_wire(r)?);
+        let view = ErtView::read(r).map_err(wire::invalid)?;
+        view.validate().map_err(wire::invalid)?;
+        let labeled = LabeledTree::from_store(view.labeled.to_store()?);
         let m = labeled.tree().size();
-        let node_of_rank = r.slice_u32()?;
-        let rank_of = r.slice_u32()?;
-        let nc_off = r.slice_u32()?;
-        let nc = r.slice_pairs()?;
-        let hd_off = r.slice_u32()?;
-        let hd = r.slice_pairs()?;
-        if node_of_rank.len() != m || rank_of.len() != m {
-            return Err(invalid("ERT rank arrays have mismatched lengths"));
-        }
-        for (rank, &t) in node_of_rank.iter().enumerate() {
-            if t as usize >= m || rank_of[t as usize] as usize != rank {
-                return Err(invalid("ERT rank order is not a permutation"));
-            }
-        }
-        let check_csr = |off: &[u32], arena: &[(u32, TreeIx)], what: &str| {
-            if off.len() != m + 1
-                || off[0] != 0
-                || off[m] as usize != arena.len()
-                || off.windows(2).any(|w| w[0] > w[1])
-            {
-                return Err(invalid(&format!("ERT {what} directory offsets corrupt")));
-            }
-            if arena.iter().any(|&(_, ix)| ix as usize >= m) {
-                return Err(invalid(&format!("ERT {what} directory entry out of range")));
-            }
-            Ok(())
-        };
-        check_csr(&nc_off, &nc, "name-child")?;
-        check_csr(&hd_off, &hd, "hash")?;
-        let max_load = ErrorReportingTree::load_budget(m, sigma);
         Ok(ErtStore {
             labeled,
-            hash,
-            k,
-            sigma,
-            max_load,
-            node_of_rank,
-            rank_of,
-            nc_off,
-            nc,
-            hd_off,
-            hd,
-            hash_verified: verified,
+            hash: PolyHash::from_coeffs(view.coeffs.iter().collect()),
+            k: view.k,
+            sigma: view.sigma,
+            max_load: ErrorReportingTree::load_budget(m, view.sigma),
+            node_of_rank: view.node_of_rank.iter().collect(),
+            rank_of: view.rank_of.iter().collect(),
+            nc_off: view.nc_off.iter().collect(),
+            nc: view.nc.iter().collect(),
+            hd_off: view.hd_off.iter().collect(),
+            hd: view.hd.iter().collect(),
+            hash_verified: view.hash_verified,
         })
     }
 }
@@ -247,8 +211,12 @@ impl ErrorReportingTree {
     }
 
     /// σ·log n directory budget (≥ σ + 2 so tiny trees stay correct).
+    /// Saturating, so a corrupt σ read from a record cannot overflow.
     fn load_budget(m: usize, sigma: u64) -> usize {
-        ((sigma as usize) * (ceil_log2(m.max(2) as u64) as usize).max(1)).max(sigma as usize + 2)
+        let sigma = sigma as usize;
+        sigma
+            .saturating_mul((ceil_log2(m.max(2) as u64) as usize).max(1))
+            .max(sigma.saturating_add(2))
     }
 
     fn assemble(
@@ -432,19 +400,15 @@ impl ErrorReportingTree {
     }
 
     /// Item (2) of node `t`'s storage: `(digit, name-child tree index)`.
-    // lint:allow-fn(panic-free-serve): validate-then-index — from_wire checks rank_of < n and nc_off monotone/in-bounds for every rank
     pub fn name_children(&self, t: TreeIx) -> &[(u32, TreeIx)] {
         let s = &self.store;
-        let r = s.rank_of[t as usize] as usize;
-        &s.nc[s.nc_off[r] as usize..s.nc_off[r + 1] as usize]
+        csr_row(&s.rank_of, &s.nc_off, &s.nc, t)
     }
 
     /// Item (3) of node `t`'s storage: `(target graph id, tree index)`.
-    // lint:allow-fn(panic-free-serve): validate-then-index — from_wire checks rank_of < n and hd_off monotone/in-bounds for every rank
     pub fn hash_dir(&self, t: TreeIx) -> &[(u32, TreeIx)] {
         let s = &self.store;
-        let r = s.rank_of[t as usize] as usize;
-        &s.hd[s.hd_off[r] as usize..s.hd_off[r + 1] as usize]
+        csr_row(&s.rank_of, &s.hd_off, &s.hd, t)
     }
 
     /// Depth of the farthest node in `V_j` (used by the Lemma 4 cost
@@ -471,84 +435,9 @@ impl ErrorReportingTree {
     }
 
     /// Execute a `j`-bounded search from the root for the node whose
-    /// network id is `target`. Pure simulation: every decision uses only
-    /// the current node's stored directories. Returns the outcome and
-    /// the sequence of tree nodes visited.
+    /// network id is `target` (see [`search_bounded`]).
     pub fn search(&self, target: NodeId, j: usize) -> (SearchOutcome, Vec<TreeIx>) {
-        assert!(j >= 1, "searches must be at least 1-bounded");
-        let ErtStore { labeled, hash, k, sigma, .. } = &self.store;
-        let j = j.min(*k);
-        let y = hash.digits(target.0 as u64, *sigma, *k);
-        let root = labeled.tree().root();
-        let mut current = root;
-        let mut cost: Cost = 0;
-        // lint:allow(no-alloc-in-route): the returned search owns its visited path; one Vec per search is the API
-        let mut visited = vec![root];
-        let mut round = 1usize;
-        // Every stored label below routes inside this tree by
-        // construction; a label that no longer routes means a corrupt
-        // store, and the search degrades to a failure from where it
-        // stands — never a panicked serving thread.
-        loop {
-            // Does `current` know the target?
-            if let Some(tix) = self.lookup_at(current, target) {
-                let Some((mut path, c)) = labeled.route(current, labeled.label(tix)) else {
-                    return (SearchOutcome::NotFound { cost }, visited);
-                };
-                cost += c;
-                let delivered_at = path.last().copied().unwrap_or(current);
-                path.remove(0);
-                visited.extend(path);
-                return (SearchOutcome::Found { cost, delivered_at }, visited);
-            }
-            if round >= j {
-                // Bounded out: report failure back to the root.
-                if let Some((mut path, c)) = labeled.route(current, labeled.label(root)) {
-                    cost += c;
-                    path.remove(0);
-                    visited.extend(path);
-                }
-                return (SearchOutcome::NotFound { cost }, visited);
-            }
-            // Move to the node named (y_1 … y_round). A missing digit
-            // (impossible for round < j ≤ k) falls through to the
-            // name-miss arm below.
-            let digit = y.get(round - 1).copied().unwrap_or(u32::MAX);
-            let next =
-                self.name_children(current).iter().find(|(d, _)| *d == digit).map(|&(_, c)| c);
-            match next {
-                Some(child) => {
-                    let Some((mut path, c)) = labeled.route(current, labeled.label(child)) else {
-                        return (SearchOutcome::NotFound { cost }, visited);
-                    };
-                    cost += c;
-                    current = path.last().copied().unwrap_or(current);
-                    path.remove(0);
-                    visited.extend(path);
-                    round += 1;
-                }
-                None => {
-                    // The name does not exist ⇒ the target is not in the
-                    // tree at all (names fill rank-by-rank; see module
-                    // docs). Report failure.
-                    if let Some((mut path, c)) = labeled.route(current, labeled.label(root)) {
-                        cost += c;
-                        path.remove(0);
-                        visited.extend(path);
-                    }
-                    return (SearchOutcome::NotFound { cost }, visited);
-                }
-            }
-        }
-    }
-
-    /// Local lookup: does tree node `t` store the target's label? The
-    /// returned tree index resolves to a label via the shared arena.
-    fn lookup_at(&self, t: TreeIx, target: NodeId) -> Option<TreeIx> {
-        if self.store.labeled.tree().graph_id(t) == target {
-            return Some(t);
-        }
-        self.hash_dir(t).iter().find(|(gid, _)| *gid == target.0).map(|&(_, ix)| ix)
+        search_bounded(self, target, j)
     }
 
     /// Storage bits of tree node `t` under this scheme: µ(T,t) + the two
@@ -586,6 +475,323 @@ impl ErrorReportingTree {
     /// Inverse of [`ErrorReportingTree::to_wire`].
     pub fn from_wire(r: &mut wire::Reader) -> io::Result<Self> {
         Ok(Self::from_store(ErtStore::from_wire(r)?))
+    }
+}
+
+/// Directory row of node `t` in a rank-indexed CSR arena; empty for an
+/// out-of-range node (decode checks make that unreachable).
+fn csr_row<'s>(
+    rank_of: &[u32],
+    off: &[u32],
+    arena: &'s [(u32, TreeIx)],
+    t: TreeIx,
+) -> &'s [(u32, TreeIx)] {
+    let row = || {
+        let r = *rank_of.get(t as usize)? as usize;
+        arena.get(*off.get(r)? as usize..*off.get(r + 1)? as usize)
+    };
+    row().unwrap_or(&[])
+}
+
+/// Read access to a Lemma-4 tree: the surface [`search_bounded`] runs
+/// against.
+/// [`ErrorReportingTree`] implements it over its decoded store and
+/// [`ErtView`] over record bytes read in place.
+pub trait ErtRead {
+    /// The labeled tree underneath.
+    type Tree: LabeledRead + ?Sized;
+    /// Iterator over one node's directory row.
+    type Dir<'a>: Iterator<Item = (u32, TreeIx)>
+    where
+        Self: 'a;
+    /// The labeled tree underneath (and its physical tree).
+    fn labeled(&self) -> &Self::Tree;
+    /// Search depth bound k.
+    fn k(&self) -> usize;
+    /// Alphabet size σ.
+    fn sigma(&self) -> u64;
+    /// The hash polynomial evaluated at `x`.
+    fn hash_eval(&self, x: u64) -> u64;
+    /// Item (2) of node `t`: `(digit, name-child tree index)`.
+    fn name_entries(&self, t: TreeIx) -> Self::Dir<'_>;
+    /// Item (3) of node `t`: `(target graph id, tree index)`.
+    fn hash_entries(&self, t: TreeIx) -> Self::Dir<'_>;
+}
+
+impl ErtRead for ErrorReportingTree {
+    type Tree = LabeledTree;
+    type Dir<'a> = std::iter::Copied<std::slice::Iter<'a, (u32, TreeIx)>>;
+
+    #[inline]
+    fn labeled(&self) -> &LabeledTree {
+        &self.store.labeled
+    }
+
+    #[inline]
+    fn k(&self) -> usize {
+        self.store.k
+    }
+
+    #[inline]
+    fn sigma(&self) -> u64 {
+        self.store.sigma
+    }
+
+    #[inline]
+    fn hash_eval(&self, x: u64) -> u64 {
+        self.store.hash.eval(x)
+    }
+
+    #[inline]
+    fn name_entries(&self, t: TreeIx) -> Self::Dir<'_> {
+        self.name_children(t).iter().copied()
+    }
+
+    #[inline]
+    fn hash_entries(&self, t: TreeIx) -> Self::Dir<'_> {
+        self.hash_dir(t).iter().copied()
+    }
+}
+
+/// Execute a `j`-bounded search from the root for the node whose network
+/// id is `target`. Pure simulation: every decision uses only the
+/// current node's stored directories. Returns the outcome and the
+/// sequence of tree nodes visited.
+pub fn search_bounded<S: ErtRead + ?Sized>(
+    s: &S,
+    target: NodeId,
+    j: usize,
+) -> (SearchOutcome, Vec<TreeIx>) {
+    assert!(j >= 1, "searches must be at least 1-bounded");
+    let (k, sigma) = (s.k(), s.sigma());
+    let j = j.min(k);
+    let y = s.hash_eval(target.0 as u64);
+    let labeled = s.labeled();
+    let root: TreeIx = 0;
+    let mut current = root;
+    let mut cost: Cost = 0;
+    // lint:allow(no-alloc-in-route): the returned search owns its visited path; one Vec per search is the API
+    let mut visited = vec![root];
+    let mut round = 1usize;
+    // Every stored label below routes inside this tree by construction;
+    // a label that no longer routes means a corrupt store, and the
+    // search degrades to a failure from where it stands — never a
+    // panicked serving thread.
+    let walk = |from: TreeIx, to: TreeIx, visited: &mut Vec<TreeIx>| {
+        labeled.label_of(to).and_then(|label| route_into(labeled, from, label, visited))
+    };
+    loop {
+        // Does `current` know the target?
+        if let Some(tix) = lookup_at(s, current, target) {
+            let Some((delivered_at, c)) = walk(current, tix, &mut visited) else {
+                return (SearchOutcome::NotFound { cost }, visited);
+            };
+            cost = cost.saturating_add(c);
+            return (SearchOutcome::Found { cost, delivered_at }, visited);
+        }
+        if round >= j {
+            // Bounded out: report failure back to the root.
+            if let Some((_, c)) = walk(current, root, &mut visited) {
+                cost = cost.saturating_add(c);
+            }
+            return (SearchOutcome::NotFound { cost }, visited);
+        }
+        // Move to the node named (y_1 … y_round); round < j ≤ k, so the
+        // digit exists.
+        let digit = digit_at(y, sigma, k, round - 1);
+        match s.name_entries(current).find(|&(d, _)| d == digit) {
+            Some((_, child)) => {
+                let Some((at, c)) = walk(current, child, &mut visited) else {
+                    return (SearchOutcome::NotFound { cost }, visited);
+                };
+                cost = cost.saturating_add(c);
+                current = at;
+                round += 1;
+            }
+            None => {
+                // The name does not exist ⇒ the target is not in the
+                // tree at all (names fill rank-by-rank; see module
+                // docs). Report failure.
+                if let Some((_, c)) = walk(current, root, &mut visited) {
+                    cost = cost.saturating_add(c);
+                }
+                return (SearchOutcome::NotFound { cost }, visited);
+            }
+        }
+    }
+}
+
+/// Local lookup: does tree node `t` store the target's label? The
+/// returned tree index resolves to a label via the shared arena.
+fn lookup_at<S: ErtRead + ?Sized>(s: &S, t: TreeIx, target: NodeId) -> Option<TreeIx> {
+    if s.labeled().host_of(t) == Some(target) {
+        return Some(t);
+    }
+    s.hash_entries(t).find(|&(gid, _)| gid == target.0).map(|(_, ix)| ix)
+}
+
+/// An [`ErrorReportingTree`] record ([`ErrorReportingTree::to_wire`])
+/// read in place, with no decode: [`ErtView::new`] walks the record's
+/// length prefixes once to find each array, and every later read is a
+/// checked little-endian word read from the record bytes. Searches
+/// over a view run the same [`search_bounded`] as over a decoded tree and
+/// return the same walks.
+///
+/// [`ErtView::new`] checks only the layout; run [`ErtView::validate`]
+/// before routing over bytes that came from outside the process. An
+/// unvalidated view still cannot panic or loop, but may route wrongly.
+#[derive(Clone, Copy, Debug)]
+pub struct ErtView<'a> {
+    k: usize,
+    sigma: u64,
+    hash_verified: bool,
+    coeffs: U64View<'a>,
+    labeled: LabeledView<'a>,
+    node_of_rank: U32View<'a>,
+    rank_of: U32View<'a>,
+    nc_off: U32View<'a>,
+    nc: PairView<'a>,
+    hd_off: U32View<'a>,
+    hd: PairView<'a>,
+}
+
+impl<'a> ErtView<'a> {
+    /// Borrow `record`: read the header, locate every array, and check
+    /// each array's length against the tree size and that the record
+    /// ends where its last array does. O(1) in the tree size. Errors
+    /// are static reasons, so rejecting a record never allocates.
+    pub fn new(record: &'a [u8]) -> Result<Self, &'static str> {
+        let mut r = Reader::new(record);
+        let v = Self::read(&mut r)?;
+        if !r.is_empty() {
+            return Err("trailing bytes after ERT record");
+        }
+        Ok(v)
+    }
+
+    /// [`ErtView::new`] over the record at the reader's position,
+    /// leaving the reader just past it.
+    pub fn read(r: &mut Reader<'a>) -> Result<Self, &'static str> {
+        const TRUNCATED: &str = "truncated ERT record";
+        let header = |r: &mut Reader<'a>| -> io::Result<(u64, u64, u8, U64View<'a>)> {
+            Ok((r.u64()?, r.u64()?, r.u8()?, r.u64_view()?))
+        };
+        let (k, sigma, verified, coeffs) = header(r).map_err(|_| TRUNCATED)?;
+        if k == 0 || sigma == 0 || coeffs.is_empty() {
+            return Err("bad ERT record header");
+        }
+        let labeled = LabeledView::new(r)?;
+        let dirs = |r: &mut Reader<'a>| -> io::Result<_> {
+            Ok((
+                r.u32_view()?,
+                r.u32_view()?,
+                r.u32_view()?,
+                r.pair_view()?,
+                r.u32_view()?,
+                r.pair_view()?,
+            ))
+        };
+        let (node_of_rank, rank_of, nc_off, nc, hd_off, hd) = dirs(r).map_err(|_| TRUNCATED)?;
+        let m = labeled.size();
+        if node_of_rank.len() != m || rank_of.len() != m {
+            return Err("ERT rank arrays have mismatched lengths");
+        }
+        if nc_off.len() != m + 1 || hd_off.len() != m + 1 {
+            return Err("ERT directory offsets corrupt");
+        }
+        Ok(ErtView {
+            k: k as usize,
+            sigma,
+            hash_verified: verified != 0,
+            coeffs,
+            labeled,
+            node_of_rank,
+            rank_of,
+            nc_off,
+            nc,
+            hd_off,
+            hd,
+        })
+    }
+
+    /// Every check [`ErrorReportingTree::from_wire`] makes, run in place
+    /// without allocating (see [`LabeledView::validate_tree`] for the tree
+    /// checks). A record that passes routes without out-of-range reads.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.coeffs.iter().any(|c| c >= FIELD_P) {
+            return Err("bad ERT record header");
+        }
+        self.labeled.validate_tree()?;
+        for (rank, t) in self.node_of_rank.iter().enumerate() {
+            if self.rank_of.get(t as usize) != Some(rank as u32) {
+                return Err("ERT rank order is not a permutation");
+            }
+        }
+        let m = self.labeled.size();
+        for (off, arena) in [(self.nc_off, self.nc), (self.hd_off, self.hd)] {
+            if off.get(0) != Some(0)
+                || off.get(m) != Some(arena.len() as u32)
+                || off.iter().zip(off.iter().skip(1)).any(|(a, b)| a > b)
+            {
+                return Err("ERT directory offsets corrupt");
+            }
+            if arena.iter().any(|(_, ix)| ix as usize >= m) {
+                return Err("ERT directory entry out of range");
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Directory row of node `t` in a rank-indexed CSR arena read in place.
+fn csr_view<'a>(
+    rank_of: U32View<'a>,
+    off: U32View<'a>,
+    arena: PairView<'a>,
+    t: TreeIx,
+) -> PairView<'a> {
+    let row = || {
+        let r = rank_of.get(t as usize)? as usize;
+        arena.range(off.get(r)? as usize, off.get(r + 1)? as usize)
+    };
+    row().unwrap_or_default()
+}
+
+impl<'a> ErtRead for ErtView<'a> {
+    type Tree = LabeledView<'a>;
+    type Dir<'b>
+        = PairIter<'a>
+    where
+        Self: 'b;
+
+    #[inline]
+    fn labeled(&self) -> &LabeledView<'a> {
+        &self.labeled
+    }
+
+    #[inline]
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    #[inline]
+    fn sigma(&self) -> u64 {
+        self.sigma
+    }
+
+    #[inline]
+    fn hash_eval(&self, x: u64) -> u64 {
+        eval_coeffs(self.coeffs.iter(), x)
+    }
+
+    #[inline]
+    fn name_entries(&self, t: TreeIx) -> PairIter<'a> {
+        csr_view(self.rank_of, self.nc_off, self.nc, t).iter()
+    }
+
+    #[inline]
+    fn hash_entries(&self, t: TreeIx) -> PairIter<'a> {
+        csr_view(self.rank_of, self.hd_off, self.hd, t).iter()
     }
 }
 
@@ -837,6 +1043,78 @@ mod tests {
                 assert_eq!(s2.search(NodeId(gid), j), s.search(NodeId(gid), j));
             }
         }
+    }
+
+    fn record_of(s: &ErrorReportingTree) -> Vec<u8> {
+        let mut w = wire::Writer::new();
+        s.to_wire(&mut w);
+        w.into_bytes()
+    }
+
+    fn view_of(bytes: &[u8]) -> Result<ErtView<'_>, &'static str> {
+        let v = ErtView::new(bytes)?;
+        v.validate()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn view_searches_like_the_decoded_tree() {
+        for (seed, k) in [(60u64, 1usize), (61, 2), (62, 3), (63, 4)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = gen::random_tree(140, WeightDist::UniformInt { lo: 1, hi: 9 }, &mut rng);
+            let s = build(&g, NodeId(3), k, seed);
+            let bytes = record_of(&s);
+            let view = view_of(&bytes).expect("an intact record validates");
+            let lt = s.labeled();
+            let lv = view.labeled();
+            assert_eq!(lv.size(), lt.tree().size());
+            for gid in (0..150u32).chain([9_999, u32::MAX]) {
+                assert_eq!(lv.find(NodeId(gid)), lt.tree().find(NodeId(gid)), "find {gid}");
+                for j in 1..=k + 1 {
+                    assert_eq!(search_bounded(&view, NodeId(gid), j), s.search(NodeId(gid), j));
+                }
+            }
+            for a in (0..140u32).step_by(7) {
+                for b in 0..140u32 {
+                    let mut path = vec![a];
+                    let walked = route_into(lv, a, lv.label_of(b).unwrap(), &mut path)
+                        .map(|(_, c)| (path, c));
+                    assert_eq!(walked, lt.route(a, lt.label(b)), "{a}->{b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_records_are_rejected_or_search_safely() {
+        let mut rng = SmallRng::seed_from_u64(64);
+        let g = gen::random_tree(40, WeightDist::UniformInt { lo: 1, hi: 5 }, &mut rng);
+        let s = build(&g, NodeId(0), 3, 13);
+        let bytes = record_of(&s);
+        assert!(view_of(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(view_of(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        let mut rejected = 0;
+        for i in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[i] ^= mask;
+                let decoded = ErrorReportingTree::from_wire(&mut wire::Reader::new(&bad));
+                let view = view_of(&bad);
+                if decoded.is_err() {
+                    assert!(view.is_err(), "flip {mask:#x} at byte {i} passed the view only");
+                    rejected += 1;
+                }
+                // Whatever passes must still search without panicking.
+                if let Ok(v) = view {
+                    for gid in [0u32, 17, 39, 4_000] {
+                        let _ = search_bounded(&v, NodeId(gid), 3);
+                    }
+                }
+            }
+        }
+        assert!(rejected > bytes.len(), "the flips exercise the checks ({rejected} rejected)");
     }
 
     #[test]
