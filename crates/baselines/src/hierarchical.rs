@@ -92,7 +92,7 @@ impl Router for HierarchicalScheme {
             let entry = &scale.routers[scale.home[src.idx()] as usize];
             let from = entry.ix[&src.0];
             let (outcome, tpath) = entry.router.route(from, dst);
-            let tree = entry.router.labeled().tree();
+            let tree = entry.router.labeled();
             for &t in &tpath[1..] {
                 path.push(tree.graph_id(t));
             }

@@ -197,7 +197,7 @@ impl TzLabeled {
             .map(|(_, w, l)| {
                 let ct = &self.clusters[w];
                 let ix = ct.ix_of[v.idx()];
-                8 + id + ct.lt.label_bits(ix.min(ct.lt.tree().size() as u32 - 1)) + {
+                8 + id + ct.lt.label_bits(ix.min(ct.lt.size() as u32 - 1)) + {
                     let _ = l;
                     0
                 }
@@ -226,7 +226,7 @@ impl Router for TzLabeled {
             }
             let (tpath, cost) =
                 ct.lt.route(from, tree_label.as_ref()).expect("label must route in its tree");
-            let path: Vec<NodeId> = tpath.iter().map(|&t| ct.lt.tree().graph_id(t)).collect();
+            let path: Vec<NodeId> = tpath.iter().map(|&t| ct.lt.graph_id(t)).collect();
             return RouteTrace { path, cost, delivered: true };
         }
         unreachable!("top-level cluster contains every pair");

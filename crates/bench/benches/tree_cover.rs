@@ -33,7 +33,7 @@ fn cover_lookup(c: &mut Criterion) {
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % m;
-            let target = router.labeled().tree().graph_id(i);
+            let target = router.labeled().graph_id(i);
             std::hint::black_box(router.route(0, target))
         });
     });

@@ -368,21 +368,21 @@ pub fn l4(cfg: &RunConfig) -> String {
     ];
     for (name, g) in shapes {
         let s = ErrorReportingTree::new(spanning_tree(&g, NodeId(0)), k, 91);
-        let m = s.labeled().tree().size();
+        let tree = s.labeled().to_tree();
+        let order = s.rank_order();
         for j in 1..=k {
             let mut hits = 0usize;
             let mut max_stretch = 0.0f64;
-            for rank in 0..m {
-                let tix = s.node_at_rank(rank);
+            for (rank, &tix) in order.iter().enumerate() {
                 let level = s.naming().level_of_rank(rank).max(1);
                 if level > j {
                     continue;
                 }
-                let target = s.labeled().tree().graph_id(tix);
+                let target = tree.graph_id(tix);
                 let (outcome, _) = s.search(target, j);
                 if let SearchOutcome::Found { cost, .. } = outcome {
                     hits += 1;
-                    let depth = s.labeled().tree().depth(tix);
+                    let depth = tree.depth(tix);
                     if depth > 0 {
                         max_stretch = max_stretch.max(cost as f64 / depth as f64);
                     }
@@ -402,7 +402,7 @@ pub fn l4(cfg: &RunConfig) -> String {
                     }
                 }
             }
-            let max_storage = (0..m as u32).map(|x| s.node_bits(x)).max().unwrap_or(0);
+            let max_storage = (0..tree.size() as u32).map(|x| s.node_bits(x)).max().unwrap_or(0);
             t.row(vec![
                 name.into(),
                 j.to_string(),
@@ -437,11 +437,12 @@ pub fn l5(cfg: &RunConfig) -> String {
         let mut rng = SmallRng::seed_from_u64(95);
         let g = gen::random_tree(m, WeightDist::UniformInt { lo: 1, hi: 9 }, &mut rng);
         let lt = LabeledTree::new(spanning_tree(&g, NodeId(0)));
+        let tree = lt.to_tree();
         let workload = pairs::sample(m, if quick { 500 } else { 2000 }, 96);
         let mut max_stretch = 0.0f64;
         for &(s, d) in &workload {
             let (spath, cost) = lt.route(s.0, lt.label(d.0)).expect("in-tree");
-            let opt = lt.tree().tree_distance(s.0, d.0);
+            let opt = tree.tree_distance(s.0, d.0);
             assert_eq!(*spath.last().unwrap(), d.0);
             if opt > 0 {
                 max_stretch = max_stretch.max(cost as f64 / opt as f64);
@@ -547,12 +548,12 @@ pub fn l7(cfg: &RunConfig) -> String {
     ];
     for (name, g) in shapes {
         let r = CoverTreeRouter::new(spanning_tree(&g, NodeId(0)), 2, 98);
-        let m = r.labeled().tree().size() as u32;
+        let m = r.labeled().size() as u32;
         let budget = r.cost_budget();
         let mut max_cost = 0;
         let lookups = if quick { 400 } else { 2000 };
         for &(s, d) in pairs::sample(m as usize, lookups, 99).iter() {
-            let (outcome, _) = r.route(s.0, r.labeled().tree().graph_id(d.0));
+            let (outcome, _) = r.route(s.0, r.labeled().graph_id(d.0));
             assert!(outcome.is_found());
             max_cost = max_cost.max(outcome.cost());
         }

@@ -1,6 +1,6 @@
 //! Where completed landmark trees live after the build: an in-memory
-//! map of shared [`CenterTree`]s, or a file of length-prefixed
-//! [`ErrorReportingTree`] wire records read back at route time.
+//! table of shared [`ErrorReportingTree`]s indexed by center id, or a
+//! file of length-prefixed wire records read back at route time.
 //!
 //! The spill path exists for constructions whose Õ(n^{1+1/k}) total
 //! tree state exceeds RAM: the fused per-center pipeline serializes
@@ -15,7 +15,6 @@
 //! points the store at a snapshot's center-trees section.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
@@ -25,48 +24,11 @@ use std::sync::{Arc, Mutex};
 use graphkit::wire;
 use treeroute::laing::{ErrorReportingTree, ErtView};
 
-/// A landmark tree `T(c)` with the Lemma 4 scheme attached, plus the
-/// host-id → tree-index lookup routing needs.
-pub(crate) struct CenterTree {
-    pub ert: ErrorReportingTree,
-    /// host node id -> tree index. A sorted array rather than an
-    /// n-length vector or a hash map: matrix-free graphs carry Θ(n)
-    /// center trees totalling Õ(n^{1+1/k}) memberships, so per-entry
-    /// memory is what decides whether a 10⁵-node scheme fits in RAM.
-    pub ix_of: IdIndex,
-}
-
-impl CenterTree {
-    /// Wrap a finished scheme, deriving the id index from the tree.
-    pub fn new(ert: ErrorReportingTree) -> Self {
-        let ix_of = IdIndex::from_graph_ids(ert.labeled().tree().graph_ids());
-        CenterTree { ert, ix_of }
-    }
-}
-
-/// Compact host-id → tree-index lookup: `(id, ix)` pairs sorted by id.
-pub(crate) struct IdIndex(Vec<(u32, u32)>);
-
-impl IdIndex {
-    /// Build from a tree's host ids (index = position in the array).
-    pub fn from_graph_ids(graph_ids: &[u32]) -> Self {
-        let mut pairs: Vec<(u32, u32)> =
-            graph_ids.iter().enumerate().map(|(i, &gid)| (gid, i as u32)).collect();
-        pairs.sort_unstable();
-        IdIndex(pairs)
-    }
-
-    /// Tree index of host id `v`, if present.
-    #[inline]
-    pub fn get(&self, v: u32) -> Option<u32> {
-        self.0.binary_search_by_key(&v, |&(id, _)| id).ok().map(|i| self.0[i].1)
-    }
-}
-
 /// Backing storage for the per-center trees.
 pub(crate) enum CenterStore {
-    /// Every tree resident, shared behind `Arc` (the default).
-    Memory(HashMap<u32, Arc<CenterTree>>),
+    /// Every tree resident, shared behind `Arc` (the default): slot
+    /// `c` holds center `c`'s tree, `None` for a node that is no center.
+    Memory(Vec<Option<Arc<ErrorReportingTree>>>),
     /// Trees on disk as wire records, read in place at route time.
     Spilled(SpillStore),
 }
@@ -74,11 +36,30 @@ pub(crate) enum CenterStore {
 /// A center tree as routing sees it: decoded and resident, or a
 /// validated record read in place.
 pub(crate) enum CenterRef<'a> {
-    Resident(&'a CenterTree),
+    Resident(&'a ErrorReportingTree),
     Record(&'a ErtView<'a>),
 }
 
 impl CenterStore {
+    /// A resident store over `n` host nodes holding `trees`.
+    pub fn resident(
+        n: usize,
+        trees: impl IntoIterator<Item = (u32, Arc<ErrorReportingTree>)>,
+    ) -> CenterStore {
+        let mut slots = vec![None; n];
+        for (c, tree) in trees {
+            if let Some(slot) = slots.get_mut(c as usize) {
+                *slot = Some(tree);
+            }
+        }
+        CenterStore::Memory(slots)
+    }
+
+    /// The resident tree of center `c`.
+    fn slot(slots: &[Option<Arc<ErrorReportingTree>>], c: u32) -> Option<&Arc<ErrorReportingTree>> {
+        slots.get(c as usize).and_then(Option::as_ref)
+    }
+
     /// Run `visit` on the tree of center `c`. Routing only ever asks
     /// for centers the plans recorded, so a miss — or, on the spilled
     /// store, an unreadable/corrupt record — is `None` for the caller
@@ -87,7 +68,7 @@ impl CenterStore {
     /// even on failure.
     pub fn with_center<R>(&self, c: u32, visit: impl FnOnce(CenterRef<'_>) -> R) -> Option<R> {
         match self {
-            CenterStore::Memory(m) => m.get(&c).map(|ct| visit(CenterRef::Resident(ct))),
+            CenterStore::Memory(m) => Self::slot(m, c).map(|t| visit(CenterRef::Resident(t))),
             CenterStore::Spilled(s) => s.with_record(c, |view| visit(CenterRef::Record(view))),
         }
     }
@@ -95,15 +76,14 @@ impl CenterStore {
     /// The fully decoded tree of center `c`, for repair's storage
     /// accounting and tree reuse. Spilled records are decoded with
     /// [`ErrorReportingTree::from_wire`]; routing never comes here.
-    pub fn decoded(&self, c: u32) -> io::Result<Arc<CenterTree>> {
+    pub fn decoded(&self, c: u32) -> io::Result<Arc<ErrorReportingTree>> {
         match self {
             CenterStore::Memory(m) => {
-                m.get(&c).map(Arc::clone).ok_or_else(|| wire::invalid("unknown center"))
+                Self::slot(m, c).map(Arc::clone).ok_or_else(|| wire::invalid("unknown center"))
             }
             CenterStore::Spilled(_) => {
                 let payload = self.payload(c)?;
-                let ert = ErrorReportingTree::from_wire(&mut wire::Reader::new(&payload))?;
-                Ok(Arc::new(CenterTree::new(ert)))
+                Ok(Arc::new(ErrorReportingTree::from_wire(&mut wire::Reader::new(&payload))?))
             }
         }
     }
@@ -113,10 +93,7 @@ impl CenterStore {
     pub fn centers(&self) -> Vec<u32> {
         match self {
             CenterStore::Memory(m) => {
-                // lint:allow(deterministic-output): keys are collected then sorted below before any caller writes
-                let mut cs: Vec<u32> = m.keys().copied().collect();
-                cs.sort_unstable();
-                cs
+                m.iter().enumerate().filter(|(_, t)| t.is_some()).map(|(c, _)| c as u32).collect()
             }
             CenterStore::Spilled(s) => s.index.iter().map(|&(c, _, _)| c).collect(),
         }
@@ -129,9 +106,9 @@ impl CenterStore {
     pub fn payload(&self, c: u32) -> io::Result<Vec<u8>> {
         match self {
             CenterStore::Memory(m) => {
-                let ct = m.get(&c).ok_or_else(|| wire::invalid("unknown center"))?;
+                let tree = Self::slot(m, c).ok_or_else(|| wire::invalid("unknown center"))?;
                 let mut w = wire::Writer::new();
-                ct.ert.to_wire(&mut w);
+                tree.to_wire(&mut w);
                 Ok(w.into_bytes())
             }
             CenterStore::Spilled(s) => {

@@ -51,17 +51,16 @@
 //! and the caller accumulates deltas until connectivity returns —
 //! `core::churn` leans on this for node-leave/join epochs.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
 use decomposition::Decomposition;
 use graphkit::bits::bits_for_node;
 use graphkit::{apply_deltas, delta_impact, dijkstra, Cost, GraphDelta, NodeId, INFINITY};
 use landmarks::LandmarkHierarchy;
 
-use crate::center_store::{CenterStore, CenterTree, SpillWriter};
+use crate::center_store::{CenterStore, SpillWriter};
 use crate::scheme::{
-    b_for_scope, build_center_trees, build_scale_cover, index_and_bits, BuildSource,
+    b_for_scope, build_center_trees, build_scale_cover, fill_dense_ix, index_and_bits, BuildSource,
     HierarchySource, PhaseClock, Prepared, RepairState, ScaleCover, Scheme, TreeBatch,
 };
 
@@ -280,7 +279,7 @@ impl Scheme {
             // in place: the storage stats over-count (conservative),
             // routing is unaffected.
             if let Ok(ct) = self.center_store.decoded(c) {
-                let (_, bits, _) = index_and_bits(&ct.ert, id_bits);
+                let (_, bits, _) = index_and_bits(&ct, id_bits);
                 for (gid, b) in bits {
                     landmark_bits[gid as usize] -= b;
                 }
@@ -314,25 +313,22 @@ impl Scheme {
                 CenterStore::Spilled(w.finish())
             }
             None => {
-                let mut resident: HashMap<u32, Arc<CenterTree>> = built.into_iter().collect();
-                for (ci, &c) in centers.iter().enumerate() {
-                    if reused[ci] {
-                        // Same degradation as the spill branch: an
-                        // unreadable reused tree is dropped rather
-                        // than panicking the repair.
-                        if let Ok(ct) = self.center_store.decoded(c) {
-                            resident.insert(c, ct);
-                        }
-                    }
-                }
-                CenterStore::Memory(resident)
+                // Same degradation as the spill branch: an unreadable
+                // reused tree is dropped rather than panicking the
+                // repair.
+                let kept =
+                    centers.iter().enumerate().filter(|&(ci, _)| reused[ci]).filter_map(
+                        |(_, &c)| self.center_store.decoded(c).ok().map(|tree| (c, tree)),
+                    );
+                CenterStore::resident(n, built.into_iter().chain(kept))
             }
         };
 
         // ---- selective b(u, i) ---------------------------------------
         // Copy-safe iff u's distance vector is unchanged (same scope,
         // same center) AND that center's tree was reused (same search
-        // levels). Everything else is re-derived, which needs a tree
+        // levels, same tree indices — the copy carries the plan's
+        // source index along). Everything else is re-derived, which needs a tree
         // index — rebuilt centers have one in the batch; reused ones
         // referenced by an affected pair are decoded once here.
         let reused_set: HashSet<u32> =
@@ -345,7 +341,7 @@ impl Scheme {
                 let c = plans[u][i].center;
                 if (impact.dirty[u] || !reused_set.contains(&c)) && !bix2.contains_key(&c) {
                     if let Ok(ct) = center_store.decoded(c) {
-                        let (entry, _, _) = index_and_bits(&ct.ert, id_bits);
+                        let (entry, _, _) = index_and_bits(&ct, id_bits);
                         bix2.insert(c, entry);
                     }
                 }
@@ -356,7 +352,7 @@ impl Scheme {
         // counters are sums, which commute.
         let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
             let base = nodes.start;
-            let mut out = vec![0u8; nodes.len() * k];
+            let mut out = vec![(0u8, u32::MAX); nodes.len() * k];
             let mut checked = 0usize;
             let mut violations = 0usize;
             let mut recomputed = 0usize;
@@ -364,21 +360,23 @@ impl Scheme {
                 for i in 0..k {
                     let Some(scope) = &scopes2[u][i] else { continue };
                     let c = plans[u][i].center;
+                    let old = old_plans[u][i];
                     if !impact.dirty[u] && reused_set.contains(&c) {
-                        debug_assert_eq!(old_plans[u][i].center, c);
-                        debug_assert_eq!(old_plans[u][i].a, plans[u][i].a);
-                        out[(u - base) * k + i] = old_plans[u][i].b;
-                    } else if let Some(ix) = bix2.get(&c) {
-                        let (b, ch, vi) = b_for_scope(scope, ix, n, k);
-                        out[(u - base) * k + i] = b;
+                        debug_assert_eq!(old.center, c);
+                        debug_assert_eq!(old.a, plans[u][i].a);
+                        out[(u - base) * k + i] = (old.b, old.ix);
+                    } else if let Some(entry) = bix2.get(&c) {
+                        let (b, ch, vi) = b_for_scope(scope, entry, n, k);
+                        out[(u - base) * k + i] = (b, entry.ix_of(u as u32));
                         checked += ch;
                         violations += vi;
                         recomputed += 1;
                     } else {
                         // Index underivable (unreadable tree record):
-                        // keep the previous budget — routing stays
-                        // functional with a possibly stale b(u, i).
-                        out[(u - base) * k + i] = old_plans[u][i].b;
+                        // keep the previous plan — routing stays
+                        // functional with a possibly stale b(u, i),
+                        // and a stale source index is a miss.
+                        out[(u - base) * k + i] = (old.b, old.ix);
                     }
                 }
             }
@@ -396,9 +394,9 @@ impl Scheme {
         }
         for (u, row) in plans.iter_mut().enumerate() {
             for (i, plan) in row.iter_mut().enumerate() {
-                let b = b_flat[u * k + i];
+                let (b, ix) = b_flat[u * k + i];
                 if b != 0 {
-                    plan.b = b;
+                    (plan.b, plan.ix) = (b, ix);
                 }
             }
         }
@@ -421,7 +419,7 @@ impl Scheme {
             ps.dedup();
             ps.into_iter().map(|(u, v)| (NodeId(u), NodeId(v))).collect()
         };
-        let mut scale_covers: HashMap<u32, ScaleCover> = HashMap::new();
+        let mut scale_covers: Vec<ScaleCover> = Vec::with_capacity(scales.len());
         let mut scales_reused = 0usize;
         let mut scales_rebuilt = 0usize;
         let mut num_cover_trees = 0usize;
@@ -431,20 +429,18 @@ impl Scheme {
             // checked explicitly) and no changed edge lies inside it —
             // then the induced subgraph, and the deterministic cover
             // construction seeded by (s, tree index), are identical.
-            let reusable = self.scale_covers.contains_key(&s)
+            let old = self.scale_covers.binary_search_by_key(&s, |sc| sc.scale).ok();
+            let reusable = old.is_some()
                 && impact.dirty_nodes.iter().all(|&v| {
                     self.dec.in_extended_range(NodeId(v), s) == dec2.in_extended_range(NodeId(v), s)
                 })
                 && changed_pairs
                     .iter()
                     .all(|&(p, q)| !(dec2.in_extended_range(p, s) && dec2.in_extended_range(q, s)));
-            // `remove` returning `None` despite `reusable` would mean
-            // the contains_key check above regressed — fold that case
-            // into the rebuild arm instead of asserting it away.
-            let sc = match reusable.then(|| self.scale_covers.remove(&s)).flatten() {
-                Some(sc) => {
+            let sc = match old.filter(|_| reusable) {
+                Some(p) => {
                     scales_reused += 1;
-                    sc
+                    self.scale_covers.remove(p)
                 }
                 None => {
                     scales_rebuilt += 1;
@@ -452,8 +448,9 @@ impl Scheme {
                 }
             };
             num_cover_trees += sc.routers.len();
-            scale_covers.insert(s, sc);
+            scale_covers.push(sc);
         }
+        fill_dense_ix(&mut plans, &scale_covers);
 
         // ---- commit --------------------------------------------------
         let report = RepairReport {

@@ -24,7 +24,7 @@ use treeroute::cover_router::{CoverOutcome, CoverTreeRouter};
 use treeroute::labeled::LabeledRead;
 use treeroute::laing::{search_bounded, ErrorReportingTree, ErtRead, SearchOutcome};
 
-use crate::center_store::{CenterRef, CenterStore, CenterTree, SpillWriter};
+use crate::center_store::{CenterRef, CenterStore, SpillWriter};
 
 /// Ablation switch (experiment A1): disable one side of the
 /// sparse/dense decomposition to show why the paper needs both.
@@ -180,6 +180,12 @@ pub(crate) struct LevelPlan {
     pub(crate) center: u32,
     /// Sparse: the bounded-search level `b(u, i)`.
     pub(crate) b: u8,
+    /// The source's own tree index in the tree this level routes on:
+    /// `T(c(u, i))` when sparse, the home cover tree when dense
+    /// (`u32::MAX` when the source is missing from it). Routing checks
+    /// it against the tree's host id before use, so a stale or corrupt
+    /// index is a miss at this level.
+    pub(crate) ix: TreeIx,
 }
 
 /// Resolved S-set budgets: global per-level values, or a flat
@@ -204,13 +210,21 @@ impl Budgets {
 
 /// What the `b(u,i)` pass needs from one finished center tree, without
 /// keeping (or reloading) the tree itself: each member's bounded-search
-/// level, sorted by host id.
+/// level and tree index, sorted by host id.
 pub(crate) struct BuildIndex {
-    /// `(host id, search level)`, sorted by id.
-    levels: Vec<(u32, u8)>,
+    /// `(host id, search level, tree index)`, sorted by id.
+    levels: Vec<(u32, u8, TreeIx)>,
     /// Max over `levels` — lets a whole-graph `E(u,i)` read `b(u,i)`
     /// off the tree in O(1).
     max_search_level: u8,
+}
+
+impl BuildIndex {
+    /// Tree index of member `v`, `u32::MAX` when `v` is no member.
+    pub(crate) fn ix_of(&self, v: u32) -> TreeIx {
+        let found = self.levels.binary_search_by_key(&v, |&(id, _, _)| id).ok();
+        found.and_then(|p| self.levels.get(p)).map_or(u32::MAX, |&(_, _, ix)| ix)
+    }
 }
 
 /// Per-center membership lists in CSR form: center `ci` (an index into
@@ -298,6 +312,8 @@ impl BuildSource<'_> {
 
 /// All cover trees of one scale `i` (over the subgraph `G_i`).
 pub(crate) struct ScaleCover {
+    /// The scale `i` (the dense plans' range `a(u, i)`).
+    pub(crate) scale: u32,
     pub(crate) routers: Vec<CoverEntry>,
     /// host node id -> index of its home router (u32::MAX outside G_i).
     pub(crate) home: Vec<u32>,
@@ -306,22 +322,36 @@ pub(crate) struct ScaleCover {
 /// One cover tree with the Lemma 7 scheme attached.
 pub(crate) struct CoverEntry {
     pub(crate) router: CoverTreeRouter,
-    /// host node id -> tree index.
+    /// host node id -> tree index, for storage accounting and for
+    /// filling the dense plans' source index; routes never probe it.
     pub(crate) ix: HashMap<u32, TreeIx>,
 }
 
 impl CoverEntry {
     /// Wrap a router, deriving the host-id lookup from its tree.
     pub(crate) fn from_router(router: CoverTreeRouter) -> Self {
-        let ix: HashMap<u32, TreeIx> = router
-            .labeled()
-            .tree()
-            .graph_ids()
-            .iter()
-            .enumerate()
-            .map(|(i, &gid)| (gid, i as TreeIx))
-            .collect();
+        let lt = router.labeled();
+        let ix: HashMap<u32, TreeIx> =
+            (0..lt.size() as TreeIx).map(|t| (lt.graph_id(t).0, t)).collect();
         CoverEntry { router, ix }
+    }
+}
+
+/// The cover collection of scale `s` in `covers` (ascending by scale).
+pub(crate) fn scale_cover(covers: &[ScaleCover], s: u32) -> Option<&ScaleCover> {
+    covers.binary_search_by_key(&s, |sc| sc.scale).ok().and_then(|p| covers.get(p))
+}
+
+/// Point every dense plan at its source's tree index in the home cover
+/// tree of its scale.
+pub(crate) fn fill_dense_ix(plans: &mut [Vec<LevelPlan>], covers: &[ScaleCover]) {
+    for (u, row) in plans.iter_mut().enumerate() {
+        for plan in row.iter_mut().filter(|p| p.dense) {
+            plan.ix = scale_cover(covers, plan.a)
+                .and_then(|sc| sc.routers.get(*sc.home.get(u)? as usize))
+                .and_then(|entry| entry.ix.get(&(u as u32)).copied())
+                .unwrap_or(u32::MAX);
+        }
     }
 }
 
@@ -364,7 +394,8 @@ pub struct Scheme {
     pub(crate) landmark_bits: Vec<u64>,
     /// Largest routing label over all center trees (header accounting).
     pub(crate) max_center_label_bits: u64,
-    pub(crate) scale_covers: HashMap<u32, ScaleCover>,
+    /// Cover collections of the dense scales, ascending by scale.
+    pub(crate) scale_covers: Vec<ScaleCover>,
     pub(crate) stats: BuildStats,
     /// Build-time state for [`Scheme::repair`]; `None` unless built
     /// with [`SchemeParams::repairable`] (snapshots never carry it).
@@ -593,7 +624,7 @@ impl Scheme {
         let max_center_label_bits = labels.iter().map(|&(_, l)| l).max().unwrap_or(0);
         let center_store = match spill {
             Some(w) => CenterStore::Spilled(w.finish()),
-            None => CenterStore::Memory(built.into_iter().collect()),
+            None => CenterStore::resident(n, built),
         };
         stats.num_center_trees = centers.len();
         stats.total_members = members.items.len();
@@ -602,9 +633,10 @@ impl Scheme {
         // ---- b(u, i) + Lemma 3 verification --------------------------
         // merge: rows concatenated in chunk (= node id) order; the
         // check counters are sums, which commute.
+        // Each sparse plan also learns its source's tree index here.
         let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
             let base = nodes.start;
-            let mut out = vec![0u8; nodes.len() * k];
+            let mut out = vec![(0u8, u32::MAX); nodes.len() * k];
             let mut checked = 0usize;
             let mut violations = 0usize;
             for u in nodes {
@@ -612,7 +644,7 @@ impl Scheme {
                     let Some(scope) = &scopes[u][i] else { continue };
                     let entry = &bix[&plans[u][i].center];
                     let (b, c, v) = b_for_scope(scope, entry, n, k);
-                    out[(u - base) * k + i] = b;
+                    out[(u - base) * k + i] = (b, entry.ix_of(u as u32));
                     checked += c;
                     violations += v;
                 }
@@ -627,9 +659,9 @@ impl Scheme {
         }
         for (u, row) in plans.iter_mut().enumerate() {
             for (i, plan) in row.iter_mut().enumerate() {
-                let b = b_flat[u * k + i];
+                let (b, ix) = b_flat[u * k + i];
                 if b != 0 {
-                    plan.b = b;
+                    (plan.b, plan.ix) = (b, ix);
                 }
             }
         }
@@ -641,13 +673,11 @@ impl Scheme {
             plans.iter().flatten().filter(|p| p.dense).map(|p| p.a).collect();
         scales.sort_unstable();
         scales.dedup();
-        let mut scale_covers: HashMap<u32, ScaleCover> = HashMap::new();
-        for &s in &scales {
-            let sc = build_scale_cover(&g, &dec, &params, s);
-            stats.num_cover_trees += sc.routers.len();
-            scale_covers.insert(s, sc);
-        }
+        let scale_covers: Vec<ScaleCover> =
+            scales.iter().map(|&s| build_scale_cover(&g, &dec, &params, s)).collect();
+        stats.num_cover_trees = scale_covers.iter().map(|sc| sc.routers.len()).sum();
         stats.num_scales = scale_covers.len();
+        fill_dense_ix(&mut plans, &scale_covers);
         clock.lap("covers", String::new());
         stats.phase_seconds = clock.finish();
 
@@ -704,7 +734,7 @@ impl Scheme {
                             } else {
                                 src.center(hier, u_id, dec.ball_radius(u_id, i))
                             };
-                            LevelPlan { dense, a, center, b: 1 }
+                            LevelPlan { dense, a, center, b: 1, ix: u32::MAX }
                         })
                         .collect()
                 })
@@ -1072,12 +1102,14 @@ impl Scheme {
         // Every lookup degrades to "not found at this level" rather
         // than panicking: a stale plan (e.g. after a degraded repair)
         // must cost an undelivered route, not the serving thread.
-        let Some(sc) = self.scale_covers.get(&plan.a) else { return false };
+        let Some(sc) = scale_cover(&self.scale_covers, plan.a) else { return false };
         let Some(&home) = sc.home.get(src.idx()) else { return false };
         debug_assert_ne!(home, u32::MAX, "source must participate at its own scale");
         let Some(entry) = sc.routers.get(home as usize) else { return false };
-        let Some(&from) = entry.ix.get(&src.0) else { return false };
-        let (outcome, tpath) = entry.router.route(from, dst);
+        if entry.router.labeled().host_of(plan.ix) != Some(src) {
+            return false;
+        }
+        let (outcome, tpath) = entry.router.route(plan.ix, dst);
         append_tree_path(entry.router.labeled(), &tpath, path);
         *cost += outcome.cost();
         matches!(outcome, CoverOutcome::Found { .. })
@@ -1100,12 +1132,8 @@ impl Scheme {
         // thread.
         self.center_store
             .with_center(plan.center, |tree| match tree {
-                CenterRef::Resident(ct) => {
-                    sparse_walk(&ct.ert, ct.ix_of.get(src.0), dst, plan.b, path, cost)
-                }
-                CenterRef::Record(view) => {
-                    sparse_walk(view, view.labeled().find(src), dst, plan.b, path, cost)
-                }
+                CenterRef::Resident(ert) => sparse_walk(ert, src, dst, plan, path, cost),
+                CenterRef::Record(view) => sparse_walk(view, src, dst, plan, path, cost),
             })
             .unwrap_or(false)
     }
@@ -1147,7 +1175,7 @@ impl Scheme {
             landmark_bits: self.landmark_bits[v.idx()],
             ..Default::default()
         };
-        for sc in self.scale_covers.values() {
+        for sc in &self.scale_covers {
             for entry in &sc.routers {
                 if let Some(&ix) = entry.ix.get(&v.0) {
                     b.cover_bits += id + entry.router.node_bits(ix); // root id + φ
@@ -1177,10 +1205,10 @@ impl Scheme {
         let id = bits_for_node(n);
         let phase = bits_for_universe(self.params.k as u64 + 1);
         let mut max_label = self.max_center_label_bits;
-        for sc in self.scale_covers.values() {
+        for sc in &self.scale_covers {
             for entry in &sc.routers {
                 let lt = entry.router.labeled();
-                for t in 0..lt.tree().size() as u32 {
+                for t in 0..lt.size() as u32 {
                     max_label = max_label.max(lt.label_bits(t));
                 }
             }
@@ -1254,7 +1282,7 @@ pub(crate) struct Prepared {
 /// b-pass indexes keyed by center, per-node storage-bit contributions,
 /// and each tree's largest routing label.
 pub(crate) struct TreeBatch {
-    pub(crate) built: Vec<(u32, Arc<CenterTree>)>,
+    pub(crate) built: Vec<(u32, Arc<ErrorReportingTree>)>,
     pub(crate) bix: HashMap<u32, BuildIndex>,
     pub(crate) lm_bits: Vec<u64>,
     pub(crate) labels: Vec<(u32, u64)>,
@@ -1278,7 +1306,7 @@ pub(crate) fn build_center_trees(
     let sigma = graphkit::ids::nth_root_ceil(n as u64, k as u32).max(2);
     let id_bits = bits_for_node(n);
     struct CenterShard {
-        built: Vec<(u32, Arc<CenterTree>)>,
+        built: Vec<(u32, Arc<ErrorReportingTree>)>,
         index: Vec<(u32, BuildIndex)>,
         lm_bits: Vec<u64>,
         labels: Vec<(u32, u64)>,
@@ -1325,7 +1353,7 @@ pub(crate) fn build_center_trees(
                 ert.to_wire(&mut rec);
                 w.write(c, &rec.into_bytes());
             } else {
-                built.push((c, Arc::new(CenterTree::new(ert))));
+                built.push((c, Arc::new(ert)));
             }
         }
         CenterShard { built, index, lm_bits, labels }
@@ -1346,24 +1374,25 @@ pub(crate) fn build_center_trees(
 }
 
 /// Per-tree derived data, usable on a freshly built tree or one
-/// decoded back from the spill/snapshot store: the b-pass index, each
-/// member's `(host id, storage-bit)` contribution (root id + τ), and
-/// the largest routing label.
+/// decoded back from the spill/snapshot store: the b-pass index (with
+/// each member's tree index, which the plans keep), each member's
+/// `(host id, storage-bit)` contribution (root id + τ), and the largest
+/// routing label.
 pub(crate) fn index_and_bits(
     ert: &ErrorReportingTree,
     id_bits: u64,
 ) -> (BuildIndex, Vec<(u32, u64)>, u64) {
-    let size = ert.labeled().tree().size();
-    let mut levels: Vec<(u32, u8)> = Vec::with_capacity(size);
+    let size = ert.labeled().size();
+    let mut levels: Vec<(u32, u8, TreeIx)> = Vec::with_capacity(size);
     let mut bits: Vec<(u32, u64)> = Vec::with_capacity(size);
     let mut max_search_level = 1u8;
     let mut max_label = 0u64;
     for ix in 0..size as u32 {
-        let gid = ert.labeled().tree().graph_id(ix).0;
+        let gid = ert.labeled().graph_id(ix).0;
         let lvl =
             ert.naming().level_of_rank(ert.rank(ix) as usize).clamp(1, u8::MAX as usize) as u8;
         max_search_level = max_search_level.max(lvl);
-        levels.push((gid, lvl));
+        levels.push((gid, lvl, ix));
         bits.push((gid, id_bits + ert.node_bits(ix)));
         max_label = max_label.max(ert.labeled().label_bits(ix));
     }
@@ -1398,7 +1427,7 @@ pub(crate) fn b_for_scope(
         EScope::Local(list) => {
             for &(v, _) in list {
                 checked += 1;
-                match entry.levels.binary_search_by_key(&v, |&(id, _)| id) {
+                match entry.levels.binary_search_by_key(&v, |&(id, _, _)| id) {
                     Ok(p) => b = b.max(entry.levels[p].1 as usize),
                     Err(_) => {
                         violations += 1;
@@ -1458,7 +1487,7 @@ pub(crate) fn build_scale_cover(
         .into_iter()
         .flatten()
         .collect();
-    ScaleCover { routers, home }
+    ScaleCover { scale: s, routers, home }
 }
 
 /// Key for the batched level-0 position map.
@@ -1477,42 +1506,48 @@ fn remap_tree(t: &Tree, to_host: &[u32]) -> Tree {
 }
 
 /// The sparse strategy on one center tree, resident or read in place:
-/// climb from the source (tree index `src_ix`) to the root, run a
-/// `b`-bounded search, and on a miss walk back down to the source. A
-/// source missing from its center's tree (a stale plan) is a miss at
-/// this level. Returns true when delivered.
+/// climb from the source (tree index `plan.ix`) to the root, run a
+/// `plan.b`-bounded search, and on a miss walk back down to the source.
+/// A source index that does not name `src` in this tree (a stale or
+/// corrupt plan) is a miss at this level. Returns true when delivered.
 fn sparse_walk<T: ErtRead + ?Sized>(
     ert: &T,
-    src_ix: Option<TreeIx>,
+    src: NodeId,
     dst: NodeId,
-    b: u8,
+    plan: LevelPlan,
     path: &mut Vec<NodeId>,
     cost: &mut Cost,
 ) -> bool {
-    let Some(src_ix) = src_ix else { return false };
     let tree = ert.labeled();
-    // Climb to the root along tree parents.
-    // lint:allow(no-alloc-in-route): per-route climb scratch, sized by tree depth; measured negligible vs the bounded search
-    let mut climb = vec![src_ix];
-    let mut at = src_ix;
-    while let Some(p) = tree.parent_of(at) {
-        *cost = cost.saturating_add(tree.parent_weight_of(at));
-        at = p;
-        climb.push(at);
+    if tree.host_of(plan.ix) != Some(src) {
+        return false;
     }
-    append_tree_path(tree, &climb, path);
+    // Climb to the root along tree parents, straight into the path.
+    let start = path.len();
+    let mut climb: Cost = 0;
+    let mut at = plan.ix;
+    while let Some(p) = tree.parent_of(at) {
+        climb = climb.saturating_add(tree.parent_weight_of(at));
+        at = p;
+        path.extend(tree.host_of(at));
+    }
+    let top = path.len();
+    *cost = cost.saturating_add(climb);
     // Bounded search from the root.
-    let (outcome, tpath) = search_bounded(ert, dst, b as usize);
+    let (outcome, tpath) = search_bounded(ert, dst, plan.b as usize);
     append_tree_path(tree, &tpath, path);
     *cost = cost.saturating_add(outcome.cost());
     match outcome {
         SearchOutcome::Found { .. } => true,
         SearchOutcome::NotFound { .. } => {
-            // Back down to the source for the next phase.
-            for &t in climb.iter().rev().skip(1) {
-                *cost = cost.saturating_add(tree.parent_weight_of(t));
-                path.extend(tree.host_of(t));
+            // Back down to the source for the next phase: the climb
+            // reversed, from the root's child down to the source.
+            let down = path.len();
+            path.extend_from_within(start.saturating_sub(1)..top.saturating_sub(1));
+            if let Some(tail) = path.get_mut(down..) {
+                tail.reverse();
             }
+            *cost = cost.saturating_add(climb);
             false
         }
     }

@@ -10,7 +10,7 @@
 //! | `GRAPH` | the host graph's CSR arenas |
 //! | `DECOMPOSITION` | ranges `a(u, i)` + `⌈log₂Δ⌉` |
 //! | `HIERARCHY` | landmark levels `C_0 … C_{k−1}` |
-//! | `PLANS` | per-(node, level) plans, SoA |
+//! | `PLANS` | per-(node, level) plans, SoA, with the source's tree index |
 //! | `LANDMARK_BITS` | per-node landmark storage accounting |
 //! | `CENTER_DIR` | center id → extent into `CENTER_TREES` |
 //! | `CENTER_TREES` | concatenated Lemma-4 tree records |
@@ -31,7 +31,6 @@
 //! section checksum for not reading the section at all; every record
 //! fetch is still validated structurally before a route uses it.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -43,10 +42,10 @@ use landmarks::LandmarkHierarchy;
 use treeroute::cover_router::{CoverStore, CoverTreeRouter};
 use treeroute::laing::ErrorReportingTree;
 
-use crate::center_store::{CenterStore, CenterTree, SpillStore};
+use crate::center_store::{CenterStore, SpillStore};
 use crate::scheme::{
-    BuildStats, CoverEntry, ForceMode, HierarchySource, LevelPlan, SBudgetMode, ScaleCover, Scheme,
-    SchemeParams,
+    scale_cover, BuildStats, CoverEntry, ForceMode, HierarchySource, LevelPlan, SBudgetMode,
+    ScaleCover, Scheme, SchemeParams,
 };
 
 /// Section ids (stable across snapshot versions; never reuse).
@@ -112,13 +111,9 @@ impl Scheme {
         sw.section(SEC_CENTER_DIR, &dir.into_bytes())?;
 
         let mut w = Writer::new();
-        // lint:allow(deterministic-output): keys are collected then sorted on the next line before any write
-        let mut scales: Vec<u32> = self.scale_covers.keys().copied().collect();
-        scales.sort_unstable();
-        w.len(scales.len());
-        for &s in &scales {
-            let sc = &self.scale_covers[&s];
-            w.u32(s);
+        w.len(self.scale_covers.len());
+        for sc in &self.scale_covers {
+            w.u32(sc.scale);
             w.slice_u32(&sc.home);
             w.len(sc.routers.len());
             for entry in &sc.routers {
@@ -192,7 +187,7 @@ impl Scheme {
         let scale_covers = decode_scale_covers(&mut Reader::new(&covers_bytes), n)?;
         for row in &plans {
             for p in row {
-                if p.dense && !scale_covers.contains_key(&p.a) {
+                if p.dense && scale_cover(&scale_covers, p.a).is_none() {
                     return Err(wire::invalid("plan references a scale with no cover"));
                 }
             }
@@ -212,8 +207,7 @@ impl Scheme {
             CenterStore::Spilled(SpillStore::from_file_index(sr.into_file(), index))
         } else {
             let bytes = sr.section(SEC_CENTER_TREES)?;
-            let trees = decode_center_trees(&bytes, &dir)?;
-            CenterStore::Memory(trees)
+            CenterStore::resident(n, decode_center_trees(&bytes, &dir)?)
         };
 
         Ok(Scheme {
@@ -278,12 +272,14 @@ impl Scheme {
         let mut a = Vec::with_capacity(n * k);
         let mut center = Vec::with_capacity(n * k);
         let mut b = Vec::with_capacity(n * k);
+        let mut ix = Vec::with_capacity(n * k);
         for row in &self.plans {
             for p in row {
                 dense.push(p.dense as u8);
                 a.push(p.a);
                 center.push(p.center);
                 b.push(p.b);
+                ix.push(p.ix);
             }
         }
         let mut w = Writer::new();
@@ -293,6 +289,7 @@ impl Scheme {
         w.slice_u32(&a);
         w.slice_u32(&center);
         w.slice_u8(&b);
+        w.slice_u32(&ix);
         w.into_bytes()
     }
 }
@@ -366,7 +363,6 @@ fn decode_hierarchy(r: &mut Reader<'_>, n: usize, k: usize) -> io::Result<Landma
     LandmarkHierarchy::try_from_levels(n, k, levels).map_err(|msg| wire::invalid(&msg))
 }
 
-// lint:allow-fn(panic-free-serve): validate-then-index — all four tables are length-checked against n*k before the loop, and x < n*k
 fn decode_plans(r: &mut Reader<'_>, n: usize, k: usize) -> io::Result<Vec<Vec<LevelPlan>>> {
     if r.u64()? as usize != n || r.u64()? as usize != k {
         return Err(wire::invalid("plan table does not match the graph"));
@@ -375,26 +371,29 @@ fn decode_plans(r: &mut Reader<'_>, n: usize, k: usize) -> io::Result<Vec<Vec<Le
     let a = r.slice_u32()?;
     let center = r.slice_u32()?;
     let b = r.slice_u8()?;
-    if dense.len() != n * k || a.len() != n * k || center.len() != n * k || b.len() != n * k {
+    // The source's tree index is checked against the tree at route
+    // time (a mismatch is a miss), so any value decodes.
+    let ix = r.slice_u32()?;
+    if [dense.len(), a.len(), center.len(), b.len(), ix.len()].iter().any(|&len| len != n * k) {
         return Err(wire::invalid("plan table has wrong length"));
     }
+    let mut cells = dense.into_iter().zip(a).zip(center).zip(b).zip(ix);
     let mut plans = Vec::with_capacity(n);
-    for u in 0..n {
+    for _ in 0..n {
         let mut row = Vec::with_capacity(k);
-        for i in 0..k {
-            let x = u * k + i;
-            let dense = match dense[x] {
+        for ((((dense, a), center), b), ix) in cells.by_ref().take(k) {
+            let dense = match dense {
                 0 => false,
                 1 => true,
                 _ => return Err(wire::invalid("bad dense flag")),
             };
-            if !dense && center[x] as usize >= n {
+            if !dense && center as usize >= n {
                 return Err(wire::invalid("plan center out of range"));
             }
-            if b[x] < 1 || b[x] as usize > k {
+            if b < 1 || b as usize > k {
                 return Err(wire::invalid("plan search bound out of range"));
             }
-            row.push(LevelPlan { dense, a: a[x], center: center[x], b: b[x] });
+            row.push(LevelPlan { dense, a, center, b, ix });
         }
         plans.push(row);
     }
@@ -418,7 +417,7 @@ fn decode_center_dir(r: &mut Reader<'_>) -> io::Result<Vec<(u32, u64, u32)>> {
 fn decode_center_trees(
     bytes: &[u8],
     dir: &[(u32, u64, u32)],
-) -> io::Result<HashMap<u32, Arc<CenterTree>>> {
+) -> io::Result<Vec<(u32, Arc<ErrorReportingTree>)>> {
     for &(_, off, len) in dir {
         if off.checked_add(len as u64).is_none_or(|end| end > bytes.len() as u64) {
             return Err(wire::invalid("center record extends past its section"));
@@ -433,20 +432,21 @@ fn decode_center_trees(
                 // lint:allow(panic-free-serve): every (off, len) was bounds-checked against the section above
                 let record = &bytes[off as usize..off as usize + len as usize];
                 let ert = ErrorReportingTree::from_wire(&mut Reader::new(record))?;
-                Ok((c, Arc::new(CenterTree::new(ert))))
+                Ok((c, Arc::new(ert)))
             })
-            .collect::<io::Result<Vec<(u32, Arc<CenterTree>)>>>()
+            .collect::<io::Result<Vec<(u32, Arc<ErrorReportingTree>)>>>()
     });
-    let mut out = HashMap::with_capacity(dir.len());
+    let mut out = Vec::with_capacity(dir.len());
     for shard in shards {
         out.extend(shard?);
     }
     Ok(out)
 }
 
-fn decode_scale_covers(r: &mut Reader<'_>, n: usize) -> io::Result<HashMap<u32, ScaleCover>> {
+/// Scale covers, ascending by scale.
+fn decode_scale_covers(r: &mut Reader<'_>, n: usize) -> io::Result<Vec<ScaleCover>> {
     let count = r.len()?;
-    let mut out = HashMap::with_capacity(count);
+    let mut out = Vec::with_capacity(count);
     let mut prev: Option<u32> = None;
     for _ in 0..count {
         let s = r.u32()?;
@@ -468,7 +468,7 @@ fn decode_scale_covers(r: &mut Reader<'_>, n: usize) -> io::Result<HashMap<u32, 
         if home.iter().any(|&h| h != u32::MAX && h as usize >= routers.len()) {
             return Err(wire::invalid("cover home map points past its routers"));
         }
-        out.insert(s, ScaleCover { routers, home });
+        out.push(ScaleCover { scale: s, routers, home });
     }
     Ok(out)
 }

@@ -287,6 +287,109 @@ fn corrupt_lazy_records_degrade_instead_of_panicking() {
     assert!(rejected * 2 > flips, "most flips must be caught ({rejected} of {flips})");
 }
 
+/// Snapshot section id of the level plans (see `snapshot.rs`).
+const SEC_PLANS: u32 = 5;
+
+/// Recompute section `id`'s checksum in the table of the snapshot
+/// `bytes`, so an edited payload reaches the decoder instead of
+/// failing the checksum.
+fn reseal_section(bytes: &mut [u8], id: u32) {
+    let word = |b: &[u8], at: usize, w: usize| -> u64 {
+        b[at..at + w].iter().rev().fold(0u64, |acc, &x| acc << 8 | x as u64)
+    };
+    let table = word(bytes, 12, 8) as usize;
+    for e in 0..word(bytes, table, 4) as usize {
+        let at = table + 4 + e * 28;
+        if word(bytes, at, 4) == id as u64 {
+            let (off, len) = (word(bytes, at + 4, 8) as usize, word(bytes, at + 12, 8) as usize);
+            let sum = graphkit::wire::fnv1a64(&bytes[off..off + len]);
+            bytes[at + 20..at + 28].copy_from_slice(&sum.to_le_bytes());
+        }
+    }
+}
+
+/// `(absolute payload offset, word count)` of the PLANS section's
+/// source-index column: n, k, then dense flags, ranges, centers,
+/// search bounds and source indices, each length-prefixed.
+fn plan_ix_column(path: &std::path::Path) -> (usize, usize) {
+    let sr = graphkit::wire::SnapshotReader::open(path).expect("open");
+    let plans = sr.section(SEC_PLANS).expect("plans");
+    let (base, _) = sr.section_range(SEC_PLANS).expect("plans range");
+    let mut r = graphkit::wire::Reader::new(&plans);
+    let (n, k) = (r.u64().unwrap() as usize, r.u64().unwrap() as usize);
+    r.slice_u8().unwrap();
+    r.slice_u32().unwrap();
+    r.slice_u32().unwrap();
+    r.slice_u8().unwrap();
+    let words = r.len().unwrap();
+    assert_eq!(words, n * k, "one source index per (node, level)");
+    (base as usize + r.position(), words)
+}
+
+#[test]
+fn corrupt_plan_source_indices_miss_instead_of_misrouting() {
+    // Every route reads its source's tree index from the plan and
+    // checks it against the tree before use. Point every index out of
+    // range, or at another node of the same tree: a resident load may
+    // refuse the snapshot, and whatever loads must report each level
+    // as a miss — no panic, no delivery to the wrong node.
+    let g = Family::Geometric.generate(90, 0x54B5);
+    let d = apsp(&g);
+    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B5));
+    let path = TempPath::new();
+    scheme.save(&path.0).expect("save");
+    let bytes = std::fs::read(&path.0).expect("read back");
+    let (at, words) = plan_ix_column(&path.0);
+    let queries = pairs::sample(g.n(), 200, 0x54B6);
+    let bad = TempPath::new();
+    type Edit = fn(u32) -> u32;
+    let edits: [(&str, Edit); 3] = [
+        ("out of range", |_| u32::MAX - 1),
+        ("past the tree", |ix| ix.wrapping_add(1 << 20)),
+        ("another host", |ix| if ix == 0 { 1 } else { ix - 1 }),
+    ];
+    for (what, edit) in edits {
+        let mut corrupt = bytes.clone();
+        for w in 0..words {
+            let word = &mut corrupt[at + 4 * w..at + 4 * w + 4];
+            let ix = u32::from_le_bytes(word.try_into().unwrap());
+            word.copy_from_slice(&edit(ix).to_le_bytes());
+        }
+        reseal_section(&mut corrupt, SEC_PLANS);
+        std::fs::write(&bad.0, &corrupt).expect("write corrupt");
+        let loads = [("resident", Scheme::load(&bad.0)), ("lazy", Scheme::load_lazy(&bad.0))];
+        for (mode, loaded) in loads {
+            let Ok(loaded) = loaded else {
+                assert_eq!(mode, "resident", "{what}: a lazy load reads plans like a resident one");
+                continue;
+            };
+            for &(s, t) in &queries {
+                let trace = loaded.route(s, t);
+                assert_eq!(trace.path.first(), Some(&s), "{what} {mode} {s}->{t}");
+                assert!(!trace.delivered || s == t, "{what} {mode} {s}->{t} delivered");
+                assert_eq!(trace.path.last(), Some(&s), "{what} {mode} {s}->{t} left the source");
+            }
+        }
+    }
+}
+
+#[test]
+fn version_1_snapshots_are_rejected() {
+    // Version 2 added the plans' source-index column; an older file
+    // must fail to open rather than be misparsed.
+    let g = Family::Geometric.generate(60, 0x54B7);
+    let d = apsp(&g);
+    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B7));
+    let path = TempPath::new();
+    scheme.save(&path.0).expect("save");
+    let mut bytes = std::fs::read(&path.0).expect("read back");
+    assert_eq!(bytes[8..12], graphkit::wire::SNAPSHOT_VERSION.to_le_bytes());
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path.0, &bytes).expect("write v1");
+    assert!(Scheme::load(&path.0).is_err(), "resident load of a version-1 snapshot");
+    assert!(Scheme::load_lazy(&path.0).is_err(), "lazy load of a version-1 snapshot");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 

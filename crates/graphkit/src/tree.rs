@@ -281,7 +281,6 @@ impl Tree {
 
     /// Host-graph id of tree node `t`.
     #[inline(always)]
-    // lint:allow-fn(panic-free-serve): validate-then-index — every TreeIx handed out by this tree is < size(); decode checks lengths
     pub fn graph_id(&self, t: TreeIx) -> NodeId {
         NodeId(self.graph_ids[t as usize])
     }
@@ -319,7 +318,6 @@ impl Tree {
 
     /// Weight of the edge from `t` to its parent.
     #[inline(always)]
-    // lint:allow-fn(panic-free-serve): validate-then-index — every TreeIx handed out by this tree is < size(); decode checks lengths
     pub fn parent_weight(&self, t: TreeIx) -> Weight {
         self.parent_weights[t as usize]
     }

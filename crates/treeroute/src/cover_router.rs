@@ -27,7 +27,7 @@ use graphkit::{Cost, NodeId, Tree, TreeIx};
 use std::io;
 
 use crate::hashing::PolyHash;
-use crate::labeled::{LabeledStore, LabeledTree};
+use crate::labeled::{route_into, LabeledRead, LabeledStore, LabeledTree};
 
 /// Outcome of a cover-tree lookup.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -209,7 +209,7 @@ impl CoverStore {
         }
         let hash = PolyHash::from_coeffs(coeffs);
         let labeled = LabeledTree::from_store(LabeledStore::from_wire(r)?);
-        let m = labeled.tree().size();
+        let m = labeled.size();
         let cg_off = r.slice_u32()?;
         let cg = r.slice_pairs()?;
         let sg_off = r.slice_u32()?;
@@ -288,7 +288,7 @@ impl CoverTreeRouter {
 
     /// DFS position responsible for a network id.
     fn position_of(&self, target: NodeId) -> u32 {
-        (self.store.hash.eval(target.0 as u64) % self.store.labeled.tree().size() as u64) as u32
+        (self.store.hash.eval(target.0 as u64) % self.store.labeled.size() as u64) as u32
     }
 
     /// The underlying labeled scheme (and physical tree).
@@ -309,7 +309,7 @@ impl CoverTreeRouter {
     /// Lemma 7 cost budget for this tree: `4·rad(T) + 2k·maxE(T)` where
     /// `k` is the worst guide depth (≤ ⌈log_s(max degree)⌉).
     pub fn cost_budget(&self) -> Cost {
-        let t = self.store.labeled.tree();
+        let t = self.store.labeled.to_tree();
         4 * t.radius() + 2 * self.store.max_guide_depth.max(1) as u64 * t.max_edge()
     }
 
@@ -319,37 +319,43 @@ impl CoverTreeRouter {
     /// Returns the outcome and the full node path walked.
     pub fn route(&self, from: TreeIx, target: NodeId) -> (CoverOutcome, Vec<TreeIx>) {
         let labeled = &self.store.labeled;
-        let tree = labeled.tree();
         let mut cost: Cost = 0;
         // lint:allow(no-alloc-in-route): the returned walk owns its path; one Vec per route is the API
         let mut path = vec![from];
-        let source_label = labeled.label(from); // carried in the header
+        // Carried in the header; a source outside the tree is a miss.
+        let Some(source_label) = labeled.label_of(from) else {
+            return (CoverOutcome::NotFound { cost }, path);
+        };
         let mut at = from;
         // Short-circuit: the source is the target.
-        if tree.graph_id(at) == target {
+        if labeled.host_of(at) == Some(target) {
             return (CoverOutcome::Found { cost: 0, delivered_at: at }, path);
         }
         // Phase 1: climb to the root.
-        while let Some(p) = tree.parent(at) {
-            cost += tree.parent_weight(at);
+        while let Some(p) = labeled.parent_of(at) {
+            cost += labeled.parent_weight_of(at);
             at = p;
             path.push(at);
         }
-        // Phase 2: descend to the directory position.
+        // Phase 2: descend to the directory position. A node outside
+        // the records means a corrupt guide arena: report a miss from
+        // where we stand rather than panicking the server.
         let pos = self.position_of(target);
+        let covers =
+            |t: TreeIx| labeled.local_at(t).is_some_and(|l| pos >= l.dfs_in && pos < l.dfs_out);
         loop {
-            let me = labeled.local(at);
+            let Some(me) = labeled.local_at(at) else {
+                return (CoverOutcome::NotFound { cost }, path);
+            };
             if me.dfs_in == pos {
                 break;
             }
             debug_assert!(pos > me.dfs_in && pos < me.dfs_out, "descent left the interval");
-            // Pick from my child guide the last boundary ≤ pos. A
-            // missing entry means a corrupt guide arena: report a miss
-            // from where we stand rather than panicking the server.
+            // Pick from my child guide the last boundary ≤ pos.
             let Some(mut next) = guide_pick(self.store.child_guide(at), pos) else {
                 return (CoverOutcome::NotFound { cost }, path);
             };
-            cost += edge_w(tree, at, next);
+            cost += edge_w(labeled, at, next);
             let parent = at;
             path.push(next);
             // Sibling corrections while pos is not inside `next`'s subtree:
@@ -358,10 +364,7 @@ impl CoverTreeRouter {
             // never returns `next` itself — each correction strictly
             // descends one guide level.
             let mut guard = 0;
-            while !{
-                let l = labeled.local(next);
-                pos >= l.dfs_in && pos < l.dfs_out
-            } {
+            while !covers(next) {
                 let Some(cand) = self
                     .store
                     .sibling_guides(next)
@@ -375,7 +378,7 @@ impl CoverTreeRouter {
                 };
                 assert_ne!(cand, next, "sibling guide made no progress");
                 // Correction: next -> parent -> cand (2 edges).
-                cost += edge_w(tree, next, parent) + edge_w(tree, parent, cand);
+                cost += edge_w(labeled, next, parent) + edge_w(labeled, parent, cand);
                 path.push(parent);
                 path.push(cand);
                 next = cand;
@@ -390,21 +393,20 @@ impl CoverTreeRouter {
         // routes is a corrupt directory; every arm below degrades to a
         // miss instead of panicking.
         if let Some(ix) = hit {
-            if let Some((mut walk, c)) = labeled.route(at, labeled.label(ix)) {
-                cost += c;
-                let delivered_at = walk.last().copied().unwrap_or(at);
-                walk.remove(0);
-                path.extend(walk);
-                return (CoverOutcome::Found { cost, delivered_at }, path);
-            }
-            return (CoverOutcome::NotFound { cost }, path);
+            let walk =
+                labeled.label_of(ix).and_then(|label| route_into(labeled, at, label, &mut path));
+            return match walk {
+                Some((delivered_at, c)) => {
+                    cost += c;
+                    (CoverOutcome::Found { cost, delivered_at }, path)
+                }
+                None => (CoverOutcome::NotFound { cost }, path),
+            };
         }
         // Unknown name: report failure back to the source using the
         // header's source label.
-        if let Some((mut walk, c)) = labeled.route(at, source_label) {
+        if let Some((_, c)) = route_into(labeled, at, source_label, &mut path) {
             cost += c;
-            walk.remove(0);
-            path.extend(walk);
         }
         (CoverOutcome::NotFound { cost }, path)
     }
@@ -413,8 +415,7 @@ impl CoverTreeRouter {
     /// paper's notation).
     pub fn node_bits(&self, t: TreeIx) -> u64 {
         let labeled = &self.store.labeled;
-        let m = labeled.tree().size();
-        let b = bits_for_node(m);
+        let b = bits_for_node(labeled.size());
         let mut bits = labeled.local_bits(t) + self.store.hash.storage_bits();
         bits += self.store.child_guide(t).len() as u64 * 2 * b;
         for (_, _, entries) in self.store.sibling_guides(t) {
@@ -444,12 +445,21 @@ struct CoverBuild {
 impl CoverBuild {
     /// Assign all guide tables; returns the worst B-tree depth.
     fn build_guides(&mut self) -> u32 {
-        let m = self.labeled.tree().size() as u32;
+        let order = self.labeled.store().dfs_order();
         let mut max_guide_depth = 0;
-        for x in 0..m {
-            // Children sorted by dfs_in (DFS assigns contiguous intervals).
-            let mut kids: Vec<TreeIx> = self.labeled.tree().children(x).to_vec();
-            kids.sort_unstable_by_key(|&c| self.labeled.local(c).dfs_in);
+        let mut kids: Vec<TreeIx> = Vec::new();
+        for x in 0..self.labeled.size() as u32 {
+            // Children sorted by dfs_in: DFS assigns contiguous
+            // intervals, so the first child starts right after `x` and
+            // each next one where the previous subtree ends.
+            let me = self.labeled.local(x);
+            kids.clear();
+            let mut d = me.dfs_in + 1;
+            while d < me.dfs_out {
+                let c = order[d as usize];
+                kids.push(c);
+                d = self.labeled.local(c).dfs_out;
+            }
             if kids.is_empty() {
                 continue;
             }
@@ -498,11 +508,12 @@ impl CoverBuild {
     }
 
     fn build_buckets(&mut self, hash: &PolyHash) {
-        let m = self.labeled.tree().size();
+        let m = self.labeled.size();
+        let order = self.labeled.store().dfs_order();
         for t in 0..m as u32 {
-            let gid = self.labeled.tree().graph_id(t).0;
-            let pos = (hash.eval(gid as u64) % m as u64) as u32;
-            let owner = self.labeled.node_at_dfs(pos);
+            let gid = self.labeled.graph_id(t).0;
+            let pos = (hash.eval(gid as u64) % m as u64) as usize;
+            let owner = order[pos];
             self.nodes[owner as usize].bucket.push((gid, t));
         }
     }
@@ -520,18 +531,18 @@ fn guide_pick(guide: &[(u32, TreeIx)], pos: u32) -> Option<TreeIx> {
 }
 
 /// Weight of the tree edge between adjacent nodes.
-fn edge_w(tree: &Tree, a: TreeIx, b: TreeIx) -> Cost {
-    if tree.parent(a) == Some(b) {
-        tree.parent_weight(a)
+fn edge_w(lt: &LabeledTree, a: TreeIx, b: TreeIx) -> Cost {
+    if lt.parent_of(a) == Some(b) {
+        lt.parent_weight_of(a)
     } else {
-        debug_assert_eq!(tree.parent(b), Some(a));
-        tree.parent_weight(b)
+        debug_assert_eq!(lt.parent_of(b), Some(a));
+        lt.parent_weight_of(b)
     }
 }
 
 impl StorageCost for CoverTreeRouter {
     fn storage_bits(&self) -> u64 {
-        (0..self.store.labeled.tree().size() as u32).map(|t| self.node_bits(t)).sum()
+        (0..self.store.labeled.size() as u32).map(|t| self.node_bits(t)).sum()
     }
 }
 
@@ -549,11 +560,11 @@ mod tests {
     }
 
     fn check_all_lookups(r: &CoverTreeRouter) {
-        let m = r.labeled().tree().size() as u32;
+        let m = r.labeled().size() as u32;
         let budget = r.cost_budget();
         for from in 0..m {
             for t in 0..m {
-                let target = r.labeled().tree().graph_id(t);
+                let target = r.labeled().graph_id(t);
                 let (outcome, path) = r.route(from, target);
                 match outcome {
                     CoverOutcome::Found { cost, delivered_at } => {
@@ -568,7 +579,7 @@ mod tests {
     }
 
     fn check_misses(r: &CoverTreeRouter, absent: &[u32]) {
-        let m = r.labeled().tree().size() as u32;
+        let m = r.labeled().size() as u32;
         let budget = r.cost_budget();
         for &gid in absent {
             for from in (0..m).step_by(7) {
@@ -652,10 +663,10 @@ mod tests {
         assert_eq!(r2.fanout(), r.fanout());
         assert_eq!(r2.max_guide_depth(), r.max_guide_depth());
         assert_eq!(r2.max_bucket(), r.max_bucket());
-        let m = r.labeled().tree().size() as u32;
+        let m = r.labeled().size() as u32;
         for from in (0..m).step_by(13) {
             for t in (0..m).step_by(7) {
-                let target = r.labeled().tree().graph_id(t);
+                let target = r.labeled().graph_id(t);
                 assert_eq!(r2.route(from, target), r.route(from, target));
             }
             assert_eq!(r2.route(from, NodeId(99999)), r.route(from, NodeId(99999)));

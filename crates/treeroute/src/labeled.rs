@@ -139,71 +139,131 @@ pub enum Step {
     NotInTree,
 }
 
-/// The plain-old-data half of a [`LabeledTree`]: the physical tree plus
-/// the flat µ/λ arenas the read path routes against. Everything here is
-/// CSR-shaped — no per-node allocations — so a store serializes as a
-/// handful of flat arrays and a snapshot load is one pass back into the
-/// same shape, no preprocessing rerun.
+/// One tree node's routing record: everything the labeled walk, the
+/// climb to the root and the Lemma-4 search read at a node, packed
+/// into one 64-byte cache line. A hop therefore touches one line per
+/// node instead of one per column. The directory ranges (`nc`, `hd`)
+/// and the distance rank are filled by the Lemma-4 store
+/// ([`crate::laing::ErtStore`]); other trees leave them zero.
+#[repr(C, align(64))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct NodeRec {
+    /// Weight of the edge to the parent (0 at the root).
+    pub(crate) weight: Weight,
+    /// Host-graph id.
+    pub(crate) host: u32,
+    /// Parent tree index (`u32::MAX` at the root).
+    pub(crate) parent: TreeIx,
+    /// Own DFS number; the subtree is `[dfs_in, dfs_out)`.
+    pub(crate) dfs_in: u32,
+    pub(crate) dfs_out: u32,
+    /// The heavy child's interval and tree index (`u32::MAX` index,
+    /// zero interval, at leaves).
+    pub(crate) heavy_in: u32,
+    pub(crate) heavy_out: u32,
+    pub(crate) heavy: TreeIx,
+    /// Light edges on the root→node path; the node's label is
+    /// `light_hops[light_off..light_off + light_depth]`.
+    pub(crate) light_depth: u32,
+    pub(crate) light_off: u32,
+    /// Lemma-4 item (2) row: `nc[nc_lo..nc_hi]`.
+    pub(crate) nc_lo: u32,
+    pub(crate) nc_hi: u32,
+    /// Lemma-4 item (3) row: `hd[hd_lo..hd_hi]`.
+    pub(crate) hd_lo: u32,
+    pub(crate) hd_hi: u32,
+    /// Distance rank from the root (Lemma-4 naming order).
+    pub(crate) rank: u32,
+}
+
+const _: () =
+    assert!(std::mem::size_of::<NodeRec>() == 64 && std::mem::align_of::<NodeRec>() == 64);
+
+impl NodeRec {
+    /// Routing info `µ(T,u)` of this node.
+    #[inline]
+    fn local(&self) -> NodeLocal {
+        NodeLocal {
+            dfs_in: self.dfs_in,
+            dfs_out: self.dfs_out,
+            heavy: (self.heavy != u32::MAX).then_some((self.heavy_in, self.heavy_out, self.heavy)),
+            light_depth: self.light_depth,
+        }
+    }
+}
+
+/// The plain-old-data half of a [`LabeledTree`]: one [`NodeRec`] per
+/// tree node, in tree-index order, plus the shared label-hop arena.
+/// The records carry the physical tree too (host id, parent, weight),
+/// so a store keeps no separate [`Tree`]; [`LabeledTree::to_tree`]
+/// rebuilds one for the few callers off the route path that need it.
 ///
-/// Labels are stored flat: one hop arena (`light_hops`) plus an offset
-/// table (`light_off`), CSR-style, instead of a `Vec<LightHop>` per
-/// node — label storage is two allocations per tree regardless of size,
-/// and a node's label is a 16-byte [`LabelRef`] view.
+/// Labels are stored flat: one hop arena (`light_hops`) in tree-index
+/// order, each node's label a contiguous run starting at its record's
+/// `light_off` — two allocations per tree regardless of size, and a
+/// node's label is a 16-byte [`LabelRef`] view.
 #[derive(Clone, Debug)]
 pub struct LabeledStore {
-    tree: Tree,
-    locals: Vec<NodeLocal>,
-    /// CSR offsets: node `t`'s light path is
-    /// `light_hops[light_off[t]..light_off[t + 1]]`.
-    light_off: Vec<u32>,
+    nodes: Vec<NodeRec>,
     light_hops: Vec<LightHop>,
-    /// `dfs_order[d]` = tree index of the node with DFS number `d`.
-    dfs_order: Vec<TreeIx>,
 }
 
 impl LabeledStore {
-    /// The underlying physical tree.
-    pub fn tree(&self) -> &Tree {
-        &self.tree
-    }
-
-    /// Serialize as flat arrays (structure-of-arrays for the locals,
-    /// `u32::MAX` heavy-child sentinel for leaves).
+    /// Serialize as flat arrays: the tree's host ids, parents and
+    /// weights, then the routing info structure-of-arrays (`u32::MAX`
+    /// heavy-child sentinel for leaves), the light-path offsets and
+    /// hops, and the DFS order. The layout is the one the records
+    /// replaced, so [`LabeledView`] reads it in place.
     pub fn to_wire(&self, w: &mut Writer) {
-        wire::write_tree(w, &self.tree);
-        let m = self.tree.size();
-        let mut dfs_in = Vec::with_capacity(m);
-        let mut dfs_out = Vec::with_capacity(m);
-        let mut light_depth = Vec::with_capacity(m);
-        let mut heavy = Vec::with_capacity(m);
-        for l in &self.locals {
-            dfs_in.push(l.dfs_in);
-            dfs_out.push(l.dfs_out);
-            light_depth.push(l.light_depth);
-            let (hi, ho, hc) = l.heavy.unwrap_or((0, 0, u32::MAX));
-            heavy.push(hi);
-            heavy.push(ho);
-            heavy.push(hc);
-        }
-        w.slice_u32(&dfs_in);
-        w.slice_u32(&dfs_out);
-        w.slice_u32(&light_depth);
+        let column = |f: fn(&NodeRec) -> u32| -> Vec<u32> { self.nodes.iter().map(f).collect() };
+        w.slice_u32(&column(|r| r.host));
+        w.slice_u32(&column(|r| r.parent));
+        let weights: Vec<u64> = self.nodes.iter().map(|r| r.weight).collect();
+        w.slice_u64(&weights);
+        w.slice_u32(&column(|r| r.dfs_in));
+        w.slice_u32(&column(|r| r.dfs_out));
+        w.slice_u32(&column(|r| r.light_depth));
+        let heavy: Vec<u32> =
+            self.nodes.iter().flat_map(|r| [r.heavy_in, r.heavy_out, r.heavy]).collect();
         w.slice_u32(&heavy);
-        w.slice_u32(&self.light_off);
+        let mut light_off = column(|r| r.light_off);
+        light_off.push(self.light_hops.len() as u32);
+        w.slice_u32(&light_off);
         let hops: Vec<(u32, u32)> =
             self.light_hops.iter().map(|h| (h.child_dfs, h.child)).collect();
         w.slice_pairs(&hops);
-        w.slice_u32(&self.dfs_order);
+        w.slice_u32(&self.dfs_order());
     }
 
     /// Inverse of [`LabeledStore::to_wire`]: the record is read in
     /// place and validated ([`LabeledView::validate_tree`]) before a
-    /// single array is copied out, so a corrupt record errors instead
-    /// of leaving out-of-bounds indices for the read path to trip over.
+    /// single record is built, so a corrupt record errors instead of
+    /// leaving out-of-bounds indices for the read path to trip over.
     pub fn from_wire(r: &mut Reader) -> io::Result<Self> {
         let view = LabeledView::new(r).map_err(wire::invalid)?;
         view.validate_tree().map_err(wire::invalid)?;
         view.to_store()
+    }
+
+    /// `dfs_order[d]` = tree index of the node with DFS number `d`.
+    pub(crate) fn dfs_order(&self) -> Vec<TreeIx> {
+        let mut order = vec![0 as TreeIx; self.nodes.len()];
+        for (t, r) in self.nodes.iter().enumerate() {
+            if let Some(slot) = order.get_mut(r.dfs_in as usize) {
+                *slot = t as TreeIx;
+            }
+        }
+        order
+    }
+
+    /// The node records, for the Lemma-4 store to fill its fields.
+    pub(crate) fn nodes(&self) -> &[NodeRec] {
+        &self.nodes
+    }
+
+    /// Mutable node records (see [`LabeledStore::nodes`]).
+    pub(crate) fn nodes_mut(&mut self) -> &mut [NodeRec] {
+        &mut self.nodes
     }
 }
 
@@ -217,7 +277,8 @@ pub struct LabeledTree {
 }
 
 impl LabeledTree {
-    /// Preprocess `tree` for labeled routing. O(m) time.
+    /// Preprocess `tree` for labeled routing, consuming it: its shape
+    /// lives on in the node records. O(m) time.
     pub fn new(tree: Tree) -> Self {
         let m = tree.size();
         // Subtree sizes by iterative post-order.
@@ -246,22 +307,26 @@ impl LabeledTree {
             }
             heavy_child[t as usize] = best;
         }
+        // Exact capacity: resident stores keep every tree's records.
+        let mut nodes: Vec<NodeRec> = (0..m as u32)
+            .map(|t| NodeRec {
+                weight: tree.parent_weight(t),
+                host: tree.graph_id(t).0,
+                parent: tree.parent(t).unwrap_or(u32::MAX),
+                heavy: u32::MAX,
+                ..NodeRec::default()
+            })
+            .collect();
         // Heavy-first DFS: assign dfs_in/out and light depths. Light
         // paths are NOT materialized per node here; they land in one
         // shared arena below.
-        let mut locals: Vec<NodeLocal> = (0..m)
-            .map(|_| NodeLocal { dfs_in: 0, dfs_out: 0, heavy: None, light_depth: 0 })
-            .collect();
-        let mut dfs_order = vec![0 as TreeIx; m];
         let mut counter: u32 = 0;
         // Stack carries (node, light depth).
         let mut stack: Vec<(TreeIx, u32)> = vec![(tree.root(), 0)];
         while let Some((t, ld)) = stack.pop() {
-            let dfs = counter;
+            nodes[t as usize].dfs_in = counter;
+            nodes[t as usize].light_depth = ld;
             counter += 1;
-            dfs_order[dfs as usize] = t;
-            locals[t as usize].dfs_in = dfs;
-            locals[t as usize].light_depth = ld;
             // Push children: light ones (reverse order) then heavy, so the
             // heavy child is visited first and gets dfs_in + 1.
             let hc = heavy_child[t as usize];
@@ -277,47 +342,47 @@ impl LabeledTree {
         }
         debug_assert_eq!(counter as usize, m);
         // dfs_out by post-order accumulation: out = max over subtree + 1.
-        let mut outs: Vec<u32> = locals.iter().map(|l| l.dfs_in + 1).collect();
+        for r in nodes.iter_mut() {
+            r.dfs_out = r.dfs_in + 1;
+        }
         for &t in &order {
             if let Some(p) = tree.parent(t) {
-                outs[p as usize] = outs[p as usize].max(outs[t as usize]);
+                nodes[p as usize].dfs_out =
+                    nodes[p as usize].dfs_out.max(nodes[t as usize].dfs_out);
             }
         }
+        // Fill heavy intervals, and the label offsets: path length ==
+        // light_depth, so the offsets are a prefix sum.
+        let mut off = 0u32;
         for t in 0..m {
-            locals[t].dfs_out = outs[t];
-        }
-        // Fill heavy intervals.
-        for t in 0..m as u32 {
-            if let Some(h) = heavy_child[t as usize] {
-                locals[t as usize].heavy =
-                    Some((locals[h as usize].dfs_in, locals[h as usize].dfs_out, h));
+            if let Some(h) = heavy_child[t] {
+                let hr = nodes[h as usize];
+                (nodes[t].heavy_in, nodes[t].heavy_out, nodes[t].heavy) =
+                    (hr.dfs_in, hr.dfs_out, h);
             }
+            nodes[t].light_off = off;
+            off += nodes[t].light_depth;
         }
         // Light-path arena: a node's path is its parent's path plus one
-        // hop if the edge from the parent is light, so path length ==
-        // light_depth and the CSR offsets are a prefix sum. Fill parent
-        // before child (preorder walk): copy the parent's slice, then
-        // append the light hop. Same O(m log m) total size as before,
-        // but in exactly two allocations.
-        let mut light_off = vec![0u32; m + 1];
-        for t in 0..m {
-            light_off[t + 1] = light_off[t] + locals[t].light_depth;
-        }
-        let mut light_hops = vec![LightHop { child_dfs: 0, child: 0 }; light_off[m] as usize];
+        // hop if the edge from the parent is light. Fill parent before
+        // child (preorder walk): copy the parent's run, then append the
+        // light hop.
+        let mut light_hops = vec![LightHop { child_dfs: 0, child: 0 }; off as usize];
         let mut walk = vec![tree.root()];
         while let Some(t) = walk.pop() {
-            let (ps, pe) = (light_off[t as usize] as usize, light_off[t as usize + 1] as usize);
+            let r = nodes[t as usize];
+            let (ps, pe) = (r.light_off as usize, (r.light_off + r.light_depth) as usize);
             for &c in tree.children(t) {
-                let cs = light_off[c as usize] as usize;
+                let cs = nodes[c as usize].light_off as usize;
                 light_hops.copy_within(ps..pe, cs);
                 if heavy_child[t as usize] != Some(c) {
                     light_hops[cs + (pe - ps)] =
-                        LightHop { child_dfs: locals[c as usize].dfs_in, child: c };
+                        LightHop { child_dfs: nodes[c as usize].dfs_in, child: c };
                 }
                 walk.push(c);
             }
         }
-        LabeledTree { store: LabeledStore { tree, locals, light_off, light_hops, dfs_order } }
+        LabeledTree { store: LabeledStore { nodes, light_hops } }
     }
 
     /// Wrap an already-built (typically snapshot-loaded) store. No
@@ -331,26 +396,46 @@ impl LabeledTree {
         &self.store
     }
 
-    /// The underlying physical tree.
-    pub fn tree(&self) -> &Tree {
-        &self.store.tree
+    /// Mutable store, for the Lemma-4 store to fill its record fields.
+    pub(crate) fn store_mut(&mut self) -> &mut LabeledStore {
+        &mut self.store
+    }
+
+    /// Rebuild the physical tree from the records. O(m) and allocating:
+    /// for analysis and tests, never the route path.
+    pub fn to_tree(&self) -> Tree {
+        let nodes = &self.store.nodes;
+        Tree::from_parents(
+            nodes.iter().map(|r| r.host).collect(),
+            nodes.iter().map(|r| r.parent).collect(),
+            nodes.iter().map(|r| r.weight).collect(),
+        )
+    }
+
+    /// Number of tree nodes.
+    #[inline]
+    pub fn size(&self) -> usize {
+        self.store.nodes.len()
+    }
+
+    /// Host-graph id of tree node `t`.
+    pub fn graph_id(&self, t: TreeIx) -> NodeId {
+        NodeId(self.store.nodes[t as usize].host)
     }
 
     /// Label of tree node `t`: a zero-copy view into the hop arena.
     pub fn label(&self, t: TreeIx) -> LabelRef<'_> {
-        let s = &self.store;
-        let (a, b) = (s.light_off[t as usize] as usize, s.light_off[t as usize + 1] as usize);
-        LabelRef { dfs: s.locals[t as usize].dfs_in, light_path: &s.light_hops[a..b] }
+        let r = &self.store.nodes[t as usize];
+        let a = r.light_off as usize;
+        LabelRef {
+            dfs: r.dfs_in,
+            light_path: &self.store.light_hops[a..a + r.light_depth as usize],
+        }
     }
 
     /// Local routing info of tree node `t`.
-    pub fn local(&self, t: TreeIx) -> &NodeLocal {
-        &self.store.locals[t as usize]
-    }
-
-    /// Tree node with DFS number `d`.
-    pub fn node_at_dfs(&self, d: u32) -> TreeIx {
-        self.store.dfs_order[d as usize]
+    pub fn local(&self, t: TreeIx) -> NodeLocal {
+        self.store.nodes[t as usize].local()
     }
 
     /// One forwarding decision at `at` toward `label` — uses only
@@ -370,23 +455,22 @@ impl LabeledTree {
 
     /// Max light-path length over all labels (≤ ceil(log2 m)).
     pub fn max_light_depth(&self) -> u32 {
-        self.store.locals.iter().map(|l| l.light_depth).max().unwrap_or(0)
+        self.store.nodes.iter().map(|r| r.light_depth).max().unwrap_or(0)
     }
 
     /// Storage bits of `µ(T,t)` for one node.
     pub fn local_bits(&self, t: TreeIx) -> u64 {
-        let b = bits_for_node(self.store.tree.size());
+        let b = bits_for_node(self.size());
         // dfs_in + dfs_out + heavy option (2 interval ends + port) + light depth.
-        let heavy = 1 + if self.store.locals[t as usize].heavy.is_some() { 3 * b } else { 0 };
+        let heavy = 1 + if self.store.nodes[t as usize].heavy != u32::MAX { 3 * b } else { 0 };
         2 * b + heavy + b
     }
 
     /// Storage bits of `λ(T,t)`.
     pub fn label_bits(&self, t: TreeIx) -> u64 {
-        let b = bits_for_node(self.store.tree.size());
-        let off = &self.store.light_off;
-        let hops = (off[t as usize + 1] - off[t as usize]) as u64;
-        b + hops * 2 * b + bits_for_node(self.store.tree.size()) // dfs + hops + length field
+        let b = bits_for_node(self.size());
+        let hops = self.store.nodes[t as usize].light_depth as u64;
+        b + hops * 2 * b + b // dfs + hops + length field
     }
 }
 
@@ -395,43 +479,35 @@ impl LabeledRead for LabeledTree {
 
     #[inline]
     fn size(&self) -> usize {
-        self.store.tree.size()
+        self.store.nodes.len()
     }
 
     #[inline]
     fn host_of(&self, t: TreeIx) -> Option<NodeId> {
-        self.store.tree.graph_ids().get(t as usize).map(|&g| NodeId(g))
+        self.store.nodes.get(t as usize).map(|r| NodeId(r.host))
     }
 
     #[inline]
     fn parent_of(&self, t: TreeIx) -> Option<TreeIx> {
-        if (t as usize) < self.size() {
-            self.store.tree.parent(t)
-        } else {
-            None
-        }
+        self.store.nodes.get(t as usize).map(|r| r.parent).filter(|&p| p != u32::MAX)
     }
 
     #[inline]
     fn parent_weight_of(&self, t: TreeIx) -> Weight {
-        if (t as usize) < self.size() {
-            self.store.tree.parent_weight(t)
-        } else {
-            0
-        }
+        self.store.nodes.get(t as usize).map_or(0, |r| r.weight)
     }
 
     #[inline]
     fn local_at(&self, t: TreeIx) -> Option<NodeLocal> {
-        self.store.locals.get(t as usize).copied()
+        self.store.nodes.get(t as usize).map(NodeRec::local)
     }
 
     #[inline]
     fn label_of(&self, t: TreeIx) -> Option<LabelRef<'_>> {
-        let s = &self.store;
-        let t = t as usize;
-        let (a, b) = (*s.light_off.get(t)? as usize, *s.light_off.get(t + 1)? as usize);
-        Some(LabelRef { dfs: s.locals.get(t)?.dfs_in, light_path: s.light_hops.get(a..b)? })
+        let r = self.store.nodes.get(t as usize)?;
+        let a = r.light_off as usize;
+        let light_path = self.store.light_hops.get(a..a + r.light_depth as usize)?;
+        Some(LabelRef { dfs: r.dfs_in, light_path })
     }
 }
 
@@ -623,39 +699,40 @@ impl<'a> LabeledView<'a> {
         Ok(())
     }
 
-    /// Copy a validated view out into an owned store.
+    /// Copy a validated view out into an owned store: one record per
+    /// node, built straight from the checked arrays.
     pub(crate) fn to_store(self) -> io::Result<LabeledStore> {
-        let tree = Tree::try_from_parents(
-            self.graph_ids.iter().collect(),
-            self.parents.iter().collect(),
-            self.weights.iter().collect(),
-        )
-        .map_err(|msg| wire::invalid(&msg))?;
-        // Exact capacity: resident loads keep every tree's locals.
-        let mut locals = Vec::with_capacity(self.size());
+        let record = |t: TreeIx| -> Option<NodeRec> {
+            let local = self.local_at(t)?;
+            let (heavy_in, heavy_out, heavy) = local.heavy.unwrap_or((0, 0, u32::MAX));
+            Some(NodeRec {
+                weight: self.weights.get(t as usize)?,
+                host: self.graph_ids.get(t as usize)?,
+                parent: self.parents.get(t as usize)?,
+                dfs_in: local.dfs_in,
+                dfs_out: local.dfs_out,
+                heavy_in,
+                heavy_out,
+                heavy,
+                light_depth: local.light_depth,
+                light_off: self.light_off.get(t as usize)?,
+                ..NodeRec::default()
+            })
+        };
+        // Exact capacity: resident loads keep every tree's records.
+        let mut nodes = Vec::with_capacity(self.size());
         for t in 0..self.size() as TreeIx {
-            let local = self.local_at(t);
-            locals
-                .push(local.ok_or_else(|| {
+            nodes
+                .push(record(t).ok_or_else(|| {
                     wire::invalid("labeled store arrays have mismatched lengths")
                 })?);
         }
-        Ok(LabeledStore {
-            tree,
-            locals,
-            light_off: self.light_off.iter().collect(),
-            light_hops: self
-                .light_hops
-                .iter()
-                .map(|(child_dfs, child)| LightHop { child_dfs, child })
-                .collect(),
-            dfs_order: self.dfs_order.iter().collect(),
-        })
-    }
-
-    /// Tree index of host node `v`: a scan of the host-id array.
-    pub fn find(&self, v: NodeId) -> Option<TreeIx> {
-        self.graph_ids.iter().position(|g| g == v.0).map(|i| i as TreeIx)
+        let light_hops = self
+            .light_hops
+            .iter()
+            .map(|(child_dfs, child)| LightHop { child_dfs, child })
+            .collect();
+        Ok(LabeledStore { nodes, light_hops })
     }
 }
 
@@ -764,16 +841,17 @@ mod tests {
     }
 
     fn check_all_pairs(lt: &LabeledTree) {
-        let m = lt.tree().size() as u32;
+        let tree = lt.to_tree();
+        let m = lt.size() as u32;
         for s in 0..m {
             for t in 0..m {
                 let (path, cost) = lt.route(s, lt.label(t)).expect("in-tree label must route");
                 assert_eq!(*path.first().unwrap(), s);
                 assert_eq!(*path.last().unwrap(), t);
                 // Optimality: cost equals the unique tree distance.
-                assert_eq!(cost, lt.tree().tree_distance(s, t), "suboptimal {s}->{t}");
+                assert_eq!(cost, tree.tree_distance(s, t), "suboptimal {s}->{t}");
                 // Path length equals tree path length (no detours).
-                assert_eq!(path.len(), lt.tree().tree_path(s, t).len());
+                assert_eq!(path.len(), tree.tree_path(s, t).len());
             }
         }
     }
@@ -825,11 +903,12 @@ mod tests {
         let g = gen::random_tree(100, WeightDist::Unit, &mut rng);
         let lt = LabeledTree::new(spanning_tree(&g, NodeId(0)));
         let mut seen = [false; 100];
+        let order = lt.store().dfs_order();
         for t in 0..100u32 {
             let d = lt.local(t).dfs_in as usize;
             assert!(!seen[d]);
             seen[d] = true;
-            assert_eq!(lt.node_at_dfs(d as u32), t);
+            assert_eq!(order[d], t);
         }
     }
 
@@ -838,10 +917,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(34);
         let g = gen::random_tree(80, WeightDist::Unit, &mut rng);
         let lt = LabeledTree::new(spanning_tree(&g, NodeId(0)));
+        let tree = lt.to_tree();
         for t in 0..80u32 {
             let me = lt.local(t);
             assert!(me.dfs_in < me.dfs_out);
-            for &c in lt.tree().children(t) {
+            for &c in tree.children(t) {
                 let ch = lt.local(c);
                 assert!(me.dfs_in < ch.dfs_in && ch.dfs_out <= me.dfs_out);
             }
@@ -890,8 +970,8 @@ mod tests {
         let bytes = w.into_bytes();
         let store = LabeledStore::from_wire(&mut graphkit::wire::Reader::new(&bytes)).unwrap();
         let lt2 = LabeledTree::from_store(store);
-        for s in 0..lt.tree().size() as u32 {
-            for t in 0..lt.tree().size() as u32 {
+        for s in 0..lt.size() as u32 {
+            for t in 0..lt.size() as u32 {
                 assert_eq!(lt2.route(s, lt2.label(t)), lt.route(s, lt.label(t)));
             }
         }

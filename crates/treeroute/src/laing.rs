@@ -23,10 +23,10 @@
 //!
 //! ## Storage layout
 //!
-//! Directories are flat: both per-node stores are CSR arrays indexed by
-//! distance **rank**, and every entry refers to its target by tree
-//! index (the label itself stays in the [`LabeledTree`]'s shared hop
-//! arena). Name lookups use pure rank arithmetic
+//! Directories are flat: both per-node stores are arenas whose rows
+//! follow distance **rank**, each node's record in the [`LabeledTree`]
+//! holds its two row ranges, and every entry refers to its target by
+//! tree index (the label itself stays in the shared hop arena). Name lookups use pure rank arithmetic
 //! ([`Naming::child_rank`] / [`Naming::rank_of_name`] on a borrowed
 //! digit slice) — no `Vec<u32>`-keyed hash maps anywhere, so building a
 //! tree's directories performs O(1) allocations total.
@@ -38,7 +38,7 @@ use graphkit::{Cost, NodeId, Tree, TreeIx};
 use std::io;
 
 use crate::hashing::{digit_at, eval_coeffs, PolyHash, FIELD_P};
-use crate::labeled::{route_into, LabeledRead, LabeledTree, LabeledView};
+use crate::labeled::{route_into, LabeledRead, LabeledTree, LabeledView, NodeRec};
 use crate::names::Naming;
 
 /// Outcome of a j-bounded search.
@@ -76,10 +76,13 @@ impl SearchOutcome {
 }
 
 /// The plain-old-data half of an [`ErrorReportingTree`]: the labeled
-/// store plus every Lemma-4 directory arena, already assembled. A store
-/// serializes as flat arrays and deserializes in one pass — no
-/// re-running of naming, labeling, or directory assembly — which is
-/// what makes spill reloads and snapshot loads cheap.
+/// store plus every Lemma-4 directory arena, already assembled. Each
+/// node's directory rows and distance rank live in its
+/// [`crate::labeled::LabeledStore`] record, next to its routing info,
+/// so a search hop reads one cache line per node. A store serializes
+/// as flat arrays and deserializes in one pass — no re-running of
+/// naming, labeling, or directory assembly — which is what makes spill
+/// reloads and snapshot loads cheap.
 #[derive(Clone, Debug)]
 pub struct ErtStore {
     labeled: LabeledTree,
@@ -87,15 +90,9 @@ pub struct ErtStore {
     k: usize,
     sigma: u64,
     max_load: usize,
-    /// rank (depth order) → tree index.
-    node_of_rank: Vec<TreeIx>,
-    /// tree index → rank.
-    rank_of: Vec<u32>,
-    /// Item (2), CSR indexed by rank: `(digit y, name-child tree ix)`.
-    nc_off: Vec<u32>,
+    /// Item (2), rows in rank order: `(digit y, name-child tree ix)`.
     nc: Vec<(u32, TreeIx)>,
-    /// Item (3), CSR indexed by rank: `(target graph id, target tree ix)`.
-    hd_off: Vec<u32>,
+    /// Item (3), rows in rank order: `(target graph id, target tree ix)`.
     hd: Vec<(u32, TreeIx)>,
     /// Whether the hash verification succeeded within the retry budget.
     hash_verified: bool,
@@ -103,46 +100,76 @@ pub struct ErtStore {
 
 impl ErtStore {
     /// Serialize every arena verbatim — the record a spill file or a
-    /// snapshot section holds. Decoding is one pass plus bounds checks;
+    /// snapshot section holds. The rank permutation and the
+    /// rank-indexed row offsets are regenerated from the node records,
+    /// so the bytes are the same as those of the column layout the
+    /// records replaced. Decoding is one pass plus bounds checks;
     /// nothing is recomputed.
     pub fn to_wire(&self, w: &mut wire::Writer) {
         w.u64(self.k as u64);
         w.u64(self.sigma);
         w.u8(self.hash_verified as u8);
         w.slice_u64(self.hash.coeffs());
-        self.labeled.store().to_wire(w);
-        w.slice_u32(&self.node_of_rank);
-        w.slice_u32(&self.rank_of);
-        w.slice_u32(&self.nc_off);
+        let store = self.labeled.store();
+        store.to_wire(w);
+        let nodes = store.nodes();
+        let node_of_rank = rank_order(nodes);
+        let rank_of: Vec<u32> = nodes.iter().map(|r| r.rank).collect();
+        let offsets = |lo: fn(&NodeRec) -> u32, len: usize| -> Vec<u32> {
+            let mut off: Vec<u32> =
+                node_of_rank.iter().filter_map(|&t| nodes.get(t as usize)).map(lo).collect();
+            off.push(len as u32);
+            off
+        };
+        w.slice_u32(&node_of_rank);
+        w.slice_u32(&rank_of);
+        w.slice_u32(&offsets(|r| r.nc_lo, self.nc.len()));
         w.slice_pairs(&self.nc);
-        w.slice_u32(&self.hd_off);
+        w.slice_u32(&offsets(|r| r.hd_lo, self.hd.len()));
         w.slice_pairs(&self.hd);
     }
 
     /// Inverse of [`ErtStore::to_wire`]: the record is read in place
     /// ([`ErtView::read`]) and validated ([`ErtView::validate`]) before
-    /// a single array is copied out, so corrupt bytes are an
+    /// a single record is built, so corrupt bytes are an
     /// [`io::Error`], never a panic or a latent out-of-bounds index.
     pub fn from_wire(r: &mut wire::Reader) -> io::Result<Self> {
         let view = ErtView::read(r).map_err(wire::invalid)?;
         view.validate().map_err(wire::invalid)?;
-        let labeled = LabeledTree::from_store(view.labeled.to_store()?);
-        let m = labeled.tree().size();
+        let mut labeled = view.labeled.to_store()?;
+        for (rec, rank) in labeled.nodes_mut().iter_mut().zip(view.rank_of.iter()) {
+            let row =
+                |off: U32View<'_>| Some((off.get(rank as usize)?, off.get(rank as usize + 1)?));
+            let ((nc_lo, nc_hi), (hd_lo, hd_hi)) = row(view.nc_off)
+                .zip(row(view.hd_off))
+                .ok_or_else(|| wire::invalid("ERT directory offsets corrupt"))?;
+            (rec.rank, rec.nc_lo, rec.nc_hi, rec.hd_lo, rec.hd_hi) =
+                (rank, nc_lo, nc_hi, hd_lo, hd_hi);
+        }
+        let labeled = LabeledTree::from_store(labeled);
+        let m = labeled.size();
         Ok(ErtStore {
             labeled,
             hash: PolyHash::from_coeffs(view.coeffs.iter().collect()),
             k: view.k,
             sigma: view.sigma,
             max_load: ErrorReportingTree::load_budget(m, view.sigma),
-            node_of_rank: view.node_of_rank.iter().collect(),
-            rank_of: view.rank_of.iter().collect(),
-            nc_off: view.nc_off.iter().collect(),
             nc: view.nc.iter().collect(),
-            hd_off: view.hd_off.iter().collect(),
             hd: view.hd.iter().collect(),
             hash_verified: view.hash_verified,
         })
     }
+}
+
+/// `order[r]` = tree index of the node with distance rank `r`.
+fn rank_order(nodes: &[NodeRec]) -> Vec<TreeIx> {
+    let mut order = vec![0 as TreeIx; nodes.len()];
+    for (t, r) in nodes.iter().enumerate() {
+        if let Some(slot) = order.get_mut(r.rank as usize) {
+            *slot = t as TreeIx;
+        }
+    }
+    order
 }
 
 /// A tree equipped with the Lemma 4 name-independent error-reporting
@@ -220,7 +247,7 @@ impl ErrorReportingTree {
     }
 
     fn assemble(
-        labeled: LabeledTree,
+        mut labeled: LabeledTree,
         naming: Naming,
         node_of_rank: Vec<TreeIx>,
         k: usize,
@@ -228,18 +255,15 @@ impl ErrorReportingTree {
         hash: PolyHash,
         hash_verified: bool,
     ) -> Self {
-        let m = labeled.tree().size();
+        let m = labeled.size();
         let max_load = Self::load_budget(m, sigma);
-        let mut rank_of = vec![0u32; m];
-        for (r, &t) in node_of_rank.iter().enumerate() {
-            rank_of[t as usize] = r as u32;
-        }
         // Item (2): name-children. Child names of rank r are contiguous
-        // ranks at the next level, so this is a straight CSR append in
-        // (rank, digit) order.
-        let mut nc_off = vec![0u32; m + 1];
+        // ranks at the next level, so this is a straight append in
+        // (rank, digit) order; each node's record keeps its row.
+        let nodes = labeled.store_mut().nodes_mut();
         let mut nc: Vec<(u32, TreeIx)> = Vec::new();
-        for rank in 0..m {
+        for (rank, &t) in node_of_rank.iter().enumerate() {
+            let lo = nc.len() as u32;
             if naming.level_of_rank(rank) < k {
                 for y in 0..sigma as u32 {
                     match naming.child_rank(rank, y) {
@@ -250,7 +274,8 @@ impl ErrorReportingTree {
                     }
                 }
             }
-            nc_off[rank + 1] = nc.len() as u32;
+            let rec = &mut nodes[t as usize];
+            (rec.rank, rec.nc_lo, rec.nc_hi) = (rank as u32, lo, nc.len() as u32);
         }
         // Item (3): hash directories. Collect (owner rank, target rank)
         // pairs — a target's prefix of length j is owned by the node
@@ -258,8 +283,8 @@ impl ErrorReportingTree {
         // `max_load` targets (closest-to-root first) per owner.
         let mut digits = vec![0u32; k];
         let mut pairs: Vec<u64> = Vec::new();
-        for (rank, &tix) in node_of_rank.iter().enumerate().take(m) {
-            let gid = labeled.tree().graph_id(tix).0 as u64;
+        for (rank, &tix) in node_of_rank.iter().enumerate() {
+            let gid = nodes[tix as usize].host as u64;
             hash.digits_into(gid, sigma, &mut digits);
             for plen in 0..k {
                 if let Some(owner) = naming.rank_of_name(&digits[..plen]) {
@@ -268,35 +293,23 @@ impl ErrorReportingTree {
             }
         }
         pairs.sort_unstable();
-        let mut hd_off = vec![0u32; m + 1];
         let mut hd: Vec<(u32, TreeIx)> = Vec::new();
         let mut p = 0usize;
-        for owner in 0..m {
+        for (owner, &owner_ix) in node_of_rank.iter().enumerate() {
             let start = p;
             while p < pairs.len() && (pairs[p] >> 32) as usize == owner {
                 p += 1;
             }
+            let lo = hd.len() as u32;
             for &pair in &pairs[start..(start + max_load).min(p)] {
                 let t = node_of_rank[(pair & 0xFFFF_FFFF) as usize];
-                hd.push((labeled.tree().graph_id(t).0, t));
+                hd.push((nodes[t as usize].host, t));
             }
-            hd_off[owner + 1] = hd.len() as u32;
+            let rec = &mut nodes[owner_ix as usize];
+            (rec.hd_lo, rec.hd_hi) = (lo, hd.len() as u32);
         }
         ErrorReportingTree {
-            store: ErtStore {
-                labeled,
-                hash,
-                k,
-                sigma,
-                max_load,
-                node_of_rank,
-                rank_of,
-                nc_off,
-                nc,
-                hd_off,
-                hd,
-                hash_verified,
-            },
+            store: ErtStore { labeled, hash, k, sigma, max_load, nc, hd, hash_verified },
             naming,
         }
     }
@@ -305,7 +318,7 @@ impl ErrorReportingTree {
     /// plan (pure rank arithmetic, O(1) state). No directory assembly —
     /// this is the snapshot/spill read path.
     pub fn from_store(store: ErtStore) -> Self {
-        let naming = Naming::new(store.labeled.tree().size(), store.sigma);
+        let naming = Naming::new(store.labeled.size(), store.sigma);
         ErrorReportingTree { store, naming }
     }
 
@@ -330,7 +343,7 @@ impl ErrorReportingTree {
         let v_max = naming.level_capacity(levels);
         let mut digits = vec![0u32; v_max * k];
         for (i, &t) in order.iter().take(v_max).enumerate() {
-            let gid = labeled.tree().graph_id(t).0 as u64;
+            let gid = labeled.graph_id(t).0 as u64;
             h.digits_into(gid, sigma, &mut digits[i * k..(i + 1) * k]);
         }
         let mut worst = 0usize;
@@ -389,34 +402,45 @@ impl ErrorReportingTree {
         self.store.hash_verified
     }
 
-    /// Distance rank of tree node `t` (0 = root).
-    pub fn rank(&self, t: TreeIx) -> u32 {
-        self.store.rank_of[t as usize]
+    /// The node record of `t`, if in range.
+    #[inline]
+    fn rec(&self, t: TreeIx) -> Option<&NodeRec> {
+        self.store.labeled.store().nodes().get(t as usize)
     }
 
-    /// Tree node at distance rank `r`.
-    pub fn node_at_rank(&self, r: usize) -> TreeIx {
-        self.store.node_of_rank[r]
+    /// Distance rank of tree node `t` (0 = root).
+    pub fn rank(&self, t: TreeIx) -> u32 {
+        self.rec(t).map_or(u32::MAX, |r| r.rank)
+    }
+
+    /// Tree nodes in distance-rank order: `order[r]` has rank `r`.
+    pub fn rank_order(&self) -> Vec<TreeIx> {
+        rank_order(self.store.labeled.store().nodes())
     }
 
     /// Item (2) of node `t`'s storage: `(digit, name-child tree index)`.
+    #[inline]
     pub fn name_children(&self, t: TreeIx) -> &[(u32, TreeIx)] {
-        let s = &self.store;
-        csr_row(&s.rank_of, &s.nc_off, &s.nc, t)
+        let row = self.rec(t).and_then(|r| self.store.nc.get(r.nc_lo as usize..r.nc_hi as usize));
+        row.unwrap_or(&[])
     }
 
     /// Item (3) of node `t`'s storage: `(target graph id, tree index)`.
+    #[inline]
     pub fn hash_dir(&self, t: TreeIx) -> &[(u32, TreeIx)] {
-        let s = &self.store;
-        csr_row(&s.rank_of, &s.hd_off, &s.hd, t)
+        let row = self.rec(t).and_then(|r| self.store.hd.get(r.hd_lo as usize..r.hd_hi as usize));
+        row.unwrap_or(&[])
     }
 
     /// Depth of the farthest node in `V_j` (used by the Lemma 4 cost
-    /// bound on negative responses).
+    /// bound on negative responses). Rebuilds the tree: O(m), off the
+    /// route path.
     pub fn max_depth_in_level(&self, j: usize) -> Cost {
         let cap = self.naming.level_capacity(j);
-        (0..cap)
-            .map(|r| self.store.labeled.tree().depth(self.store.node_of_rank[r]))
+        let tree = self.store.labeled.to_tree();
+        (0..tree.size() as TreeIx)
+            .filter(|&t| (self.rank(t) as usize) < cap)
+            .map(|t| tree.depth(t))
             .max()
             .unwrap_or(0)
     }
@@ -428,7 +452,7 @@ impl ErrorReportingTree {
     pub fn level_covering(&self, members: impl IntoIterator<Item = TreeIx>) -> usize {
         let mut j = 1usize;
         for t in members {
-            let rank = self.store.rank_of[t as usize] as usize;
+            let rank = self.rank(t) as usize;
             j = j.max(self.naming.level_of_rank(rank).max(1));
         }
         j.min(self.store.k)
@@ -445,8 +469,7 @@ impl ErrorReportingTree {
     /// notation).
     pub fn node_bits(&self, t: TreeIx) -> u64 {
         let labeled = &self.store.labeled;
-        let m = labeled.tree().size();
-        let id_bits = bits_for_node(m);
+        let id_bits = bits_for_node(labeled.size());
         let mut bits = labeled.local_bits(t) + self.store.hash.storage_bits();
         for &(_, child) in self.name_children(t) {
             bits += ceil_log2(self.store.sigma) as u64 + labeled.label_bits(child);
@@ -459,7 +482,7 @@ impl ErrorReportingTree {
 
     /// Total storage over all nodes.
     pub fn total_bits(&self) -> u64 {
-        (0..self.store.labeled.tree().size() as u32).map(|t| self.node_bits(t)).sum()
+        (0..self.store.labeled.size() as u32).map(|t| self.node_bits(t)).sum()
     }
 
     /// Serialize the full [`ErtStore`] — every directory arena verbatim,
@@ -476,21 +499,6 @@ impl ErrorReportingTree {
     pub fn from_wire(r: &mut wire::Reader) -> io::Result<Self> {
         Ok(Self::from_store(ErtStore::from_wire(r)?))
     }
-}
-
-/// Directory row of node `t` in a rank-indexed CSR arena; empty for an
-/// out-of-range node (decode checks make that unreachable).
-fn csr_row<'s>(
-    rank_of: &[u32],
-    off: &[u32],
-    arena: &'s [(u32, TreeIx)],
-    t: TreeIx,
-) -> &'s [(u32, TreeIx)] {
-    let row = || {
-        let r = *rank_of.get(t as usize)? as usize;
-        arena.get(*off.get(r)? as usize..*off.get(r + 1)? as usize)
-    };
-    row().unwrap_or(&[])
 }
 
 /// Read access to a Lemma-4 tree: the surface [`search_bounded`] runs
@@ -821,17 +829,16 @@ mod tests {
     /// Lemma 4(a): every node of V_j is found by a j-bounded search with
     /// stretch ≤ 2j−1 (w.r.t. its tree depth), for every j.
     fn check_hit_guarantee(s: &ErrorReportingTree) {
-        let m = s.labeled().tree().size();
-        for rank in 0..m {
-            let t = s.node_at_rank(rank);
-            let target = s.labeled().tree().graph_id(t);
+        let tree = s.labeled().to_tree();
+        for (rank, &t) in s.rank_order().iter().enumerate() {
+            let target = tree.graph_id(t);
             let level = s.naming().level_of_rank(rank).max(1);
             for j in level..=s.k() {
                 let (outcome, _) = s.search(target, j);
                 match outcome {
                     SearchOutcome::Found { cost, delivered_at } => {
                         assert_eq!(delivered_at, t, "delivered to wrong node");
-                        let depth = s.labeled().tree().depth(t);
+                        let depth = tree.depth(t);
                         let bound = (2 * level as u64).saturating_sub(1) * depth;
                         if depth > 0 {
                             assert!(
@@ -862,7 +869,7 @@ mod tests {
                     SearchOutcome::NotFound { cost } => {
                         assert_eq!(
                             *visited.last().unwrap(),
-                            s.labeled().tree().root(),
+                            0,
                             "negative response must return to the root"
                         );
                         let bound = (2 * j as u64).saturating_sub(2)
@@ -910,11 +917,11 @@ mod tests {
         let g = gen::random_tree(50, WeightDist::Unit, &mut rng);
         let s = build(&g, NodeId(0), 1, 4);
         check_hit_guarantee(&s);
-        for rank in 0..50 {
-            let t = s.node_at_rank(rank);
-            let (outcome, _) = s.search(s.labeled().tree().graph_id(t), 1);
+        let tree = s.labeled().to_tree();
+        for t in s.rank_order() {
+            let (outcome, _) = s.search(tree.graph_id(t), 1);
             // 1-bounded: found exactly at optimal cost from the root.
-            assert_eq!(outcome.cost(), s.labeled().tree().depth(t));
+            assert_eq!(outcome.cost(), tree.depth(t));
         }
     }
 
@@ -936,9 +943,8 @@ mod tests {
         let s = build(&g, NodeId(0), 3, 6);
         let cap1 = s.naming().level_capacity(1);
         let mut missed = 0;
-        for rank in cap1..100 {
-            let t = s.node_at_rank(rank);
-            let (outcome, _) = s.search(s.labeled().tree().graph_id(t), 1);
+        for &t in &s.rank_order()[cap1..] {
+            let (outcome, _) = s.search(s.labeled().graph_id(t), 1);
             if !outcome.is_found() {
                 missed += 1;
             }
@@ -953,13 +959,14 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(44);
         let g = gen::random_tree(60, WeightDist::UniformInt { lo: 1, hi: 5 }, &mut rng);
         let s = build(&g, NodeId(0), 3, 7);
+        let tree = s.labeled().to_tree();
         let mut prev = 0;
-        for rank in 0..60 {
-            let d = s.labeled().tree().depth(s.node_at_rank(rank));
+        for t in s.rank_order() {
+            let d = tree.depth(t);
             assert!(d >= prev);
             prev = d;
         }
-        assert_eq!(s.rank(s.labeled().tree().root()), 0);
+        assert_eq!(s.rank(tree.root()), 0);
     }
 
     #[test]
@@ -968,7 +975,7 @@ mod tests {
         let g = gen::random_tree(80, WeightDist::Unit, &mut rng);
         let s = build(&g, NodeId(0), 3, 8);
         // Root alone is covered by level 1.
-        assert_eq!(s.level_covering([s.labeled().tree().root()]), 1);
+        assert_eq!(s.level_covering([0]), 1);
         // Everything is covered by at most k.
         let all: Vec<TreeIx> = (0..80u32).collect();
         assert!(s.level_covering(all) <= 3);
@@ -1067,9 +1074,8 @@ mod tests {
             let view = view_of(&bytes).expect("an intact record validates");
             let lt = s.labeled();
             let lv = view.labeled();
-            assert_eq!(lv.size(), lt.tree().size());
+            assert_eq!(lv.size(), lt.size());
             for gid in (0..150u32).chain([9_999, u32::MAX]) {
-                assert_eq!(lv.find(NodeId(gid)), lt.tree().find(NodeId(gid)), "find {gid}");
                 for j in 1..=k + 1 {
                     assert_eq!(search_bounded(&view, NodeId(gid), j), s.search(NodeId(gid), j));
                 }
@@ -1139,7 +1145,7 @@ mod tests {
                 let vj = naming.level_capacity(plen + 1);
                 let mut counts: HashMap<Vec<u32>, usize> = HashMap::new();
                 for &t in order.iter().take(vj) {
-                    let gid = labeled.tree().graph_id(t).0 as u64;
+                    let gid = labeled.graph_id(t).0 as u64;
                     let digits = h.digits(gid, sigma, k);
                     *counts.entry(digits[..plen].to_vec()).or_insert(0) += 1;
                 }

@@ -2,13 +2,14 @@
 //! of labeled routing, the Lemma 4 hit/miss guarantees, and the
 //! Lemma 7 cost budget — on arbitrary random trees.
 
+use graphkit::wire::{Reader, Writer};
 use graphkit::{dijkstra, Graph, NodeId, Tree};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treeroute::cover_router::CoverTreeRouter;
-use treeroute::labeled::LabeledTree;
-use treeroute::laing::{ErrorReportingTree, SearchOutcome};
+use treeroute::cover_router::{CoverStore, CoverTreeRouter};
+use treeroute::labeled::{route_into, LabeledRead, LabeledStore, LabeledTree};
+use treeroute::laing::{search_bounded, ErrorReportingTree, ErtRead, ErtView, SearchOutcome};
 use treeroute::names::Naming;
 
 /// Random tree with mixed topology: attach node i to a random earlier
@@ -31,6 +32,13 @@ fn arb_tree() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The bytes `write` produces.
+fn wire_of(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    write(&mut w);
+    w.into_bytes()
+}
+
 fn rooted(g: &Graph, root: u32) -> Tree {
     let sp = dijkstra::dijkstra(g, NodeId(root));
     Tree::from_sssp(g, &sp, g.nodes())
@@ -44,12 +52,13 @@ proptest! {
     fn labeled_routing_exact(g in arb_tree(), root_pick in any::<u32>()) {
         let root = root_pick % g.n() as u32;
         let lt = LabeledTree::new(rooted(&g, root));
-        let m = lt.tree().size() as u32;
+        let tree = lt.to_tree();
+        let m = lt.size() as u32;
         for s in (0..m).step_by(3) {
             for t in (0..m).step_by(5) {
                 let (path, cost) = lt.route(s, lt.label(t)).expect("in-tree");
                 prop_assert_eq!(*path.last().unwrap(), t);
-                prop_assert_eq!(cost, lt.tree().tree_distance(s, t));
+                prop_assert_eq!(cost, tree.tree_distance(s, t));
             }
         }
     }
@@ -59,16 +68,15 @@ proptest! {
     #[test]
     fn laing_hits_within_stretch(g in arb_tree(), k in 1usize..4, seed in any::<u64>()) {
         let ert = ErrorReportingTree::new(rooted(&g, 0), k, seed);
-        let m = ert.labeled().tree().size();
-        for rank in (0..m).step_by(2) {
-            let t = ert.node_at_rank(rank);
+        let tree = ert.labeled().to_tree();
+        for (rank, &t) in ert.rank_order().iter().enumerate().step_by(2) {
             let level = ert.naming().level_of_rank(rank).max(1).min(k);
-            let target = ert.labeled().tree().graph_id(t);
+            let target = tree.graph_id(t);
             let (outcome, _) = ert.search(target, level);
             match outcome {
                 SearchOutcome::Found { cost, delivered_at } => {
                     prop_assert_eq!(delivered_at, t);
-                    let depth = ert.labeled().tree().depth(t);
+                    let depth = tree.depth(t);
                     prop_assert!(cost <= ((2 * level as u64).saturating_sub(1)) * depth.max(1));
                 }
                 SearchOutcome::NotFound { .. } =>
@@ -88,7 +96,7 @@ proptest! {
                 SearchOutcome::Found { .. } =>
                     prop_assert!(false, "found an absent id"),
                 SearchOutcome::NotFound { cost } => {
-                    prop_assert_eq!(*visited.last().unwrap(), ert.labeled().tree().root());
+                    prop_assert_eq!(*visited.last().unwrap(), 0);
                     let bound = ((2 * j as u64).saturating_sub(2))
                         * ert.max_depth_in_level(j - 1).max(1);
                     prop_assert!(cost <= bound, "miss cost {} > {}", cost, bound);
@@ -102,11 +110,11 @@ proptest! {
     #[test]
     fn cover_router_budget(g in arb_tree(), sigma in 2u64..6, seed in any::<u64>()) {
         let r = CoverTreeRouter::new(rooted(&g, 0), sigma, seed);
-        let m = r.labeled().tree().size() as u32;
+        let m = r.labeled().size() as u32;
         let budget = r.cost_budget();
         for from in (0..m).step_by(7) {
             for t in (0..m).step_by(11) {
-                let target = r.labeled().tree().graph_id(t);
+                let target = r.labeled().graph_id(t);
                 let (outcome, path) = r.route(from, target);
                 prop_assert!(outcome.is_found());
                 prop_assert!(outcome.cost() <= budget,
@@ -117,6 +125,53 @@ proptest! {
             prop_assert!(!miss.is_found());
             prop_assert!(miss.cost() <= budget);
             prop_assert_eq!(*mpath.last().unwrap(), from, "miss must return to source");
+        }
+    }
+
+    /// The packed node records are a lossless form of the wire layout:
+    /// `to_wire → from_wire → to_wire` reproduces every store's bytes,
+    /// and the owned records route exactly like the record bytes read
+    /// in place, for every (source, target).
+    #[test]
+    fn records_round_trip_and_match_the_view(
+        g in arb_tree(),
+        k in 1usize..4,
+        sigma in 2u64..6,
+        seed in any::<u64>(),
+    ) {
+        let ert = ErrorReportingTree::new(rooted(&g, 0), k, seed);
+        let bytes = wire_of(|w| ert.to_wire(w));
+        let back = ErrorReportingTree::from_wire(&mut Reader::new(&bytes)).expect("decode");
+        prop_assert_eq!(wire_of(|w| back.to_wire(w)), bytes.clone());
+        let labeled = wire_of(|w| ert.labeled().store().to_wire(w));
+        let store = LabeledStore::from_wire(&mut Reader::new(&labeled)).expect("decode");
+        prop_assert_eq!(wire_of(|w| store.to_wire(w)), labeled);
+        let cover = CoverTreeRouter::new(rooted(&g, 0), sigma, seed);
+        let cover_bytes = wire_of(|w| cover.store().to_wire(w));
+        let cover_back = CoverStore::from_wire(&mut Reader::new(&cover_bytes)).expect("decode");
+        prop_assert_eq!(wire_of(|w| cover_back.to_wire(w)), cover_bytes);
+
+        let view = ErtView::new(&bytes).expect("layout");
+        prop_assert!(view.validate().is_ok());
+        let (lt, lv) = (back.labeled(), view.labeled());
+        let m = lt.size() as u32;
+        for s in 0..m {
+            for t in 0..m {
+                let mut owned = vec![s];
+                let mut viewed = vec![s];
+                let a = route_into(lt, s, lt.label_of(t).unwrap(), &mut owned);
+                let b = route_into(lv, s, lv.label_of(t).unwrap(), &mut viewed);
+                prop_assert_eq!(a, b, "{}->{}", s, t);
+                prop_assert_eq!(&owned, &viewed, "{}->{}", s, t);
+            }
+        }
+        for gid in (0..g.n() as u32 + 2).chain([u32::MAX]) {
+            for j in 1..=k {
+                prop_assert_eq!(
+                    search_bounded(&back, NodeId(gid), j),
+                    search_bounded(&view, NodeId(gid), j)
+                );
+            }
         }
     }
 
@@ -147,7 +202,7 @@ proptest! {
 fn labeled_route_from_out_of_tree_node_is_none() {
     let g = graphkit::gen::Family::Grid.generate(36, 0x0FF);
     let lt = LabeledTree::new(rooted(&g, 0));
-    let m = lt.tree().size() as u32;
+    let m = lt.size() as u32;
     for bad in [m, m + 1, u32::MAX] {
         assert!(lt.route(bad, lt.label(0)).is_none(), "route from {bad} must degrade");
         assert!(matches!(lt.route_step(bad, lt.label(0)), treeroute::labeled::Step::NotInTree));
