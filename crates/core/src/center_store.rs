@@ -73,8 +73,8 @@ impl CenterStore {
         }
     }
 
-    /// The fully decoded tree of center `c`, for repair's storage
-    /// accounting and tree reuse. Spilled records are decoded with
+    /// The fully decoded tree of center `c`, for a repair that reuses
+    /// it. Spilled records are decoded with
     /// [`ErrorReportingTree::from_wire`]; routing never comes here.
     pub fn decoded(&self, c: u32) -> io::Result<Arc<ErrorReportingTree>> {
         match self {

@@ -3,15 +3,15 @@
 //!
 //! ## Strategy (see DESIGN.md §"Churn & incremental repair")
 //!
-//! The build's cost is wildly skewed: at 50k nodes the per-center tree
-//! pipeline is ~96% of assembly, while classification, S budgets,
-//! membership, `b(u,i)`, and cover trees are a few percent combined.
-//! Repair therefore does not patch the cheap phases — it *recomputes*
-//! them on the mutated graph with exactly the code the fresh build
-//! runs ([`Scheme::prepare`] and friends), which makes their output
-//! bit-identical to a rebuild by construction, with no invalidation
-//! logic to get wrong. Only the expensive artifacts carry reuse
-//! logic:
+//! A repair is a build with a reuse oracle. The build's cost is wildly
+//! skewed: at 50k nodes the per-center tree pipeline is ~96% of
+//! assembly, while classification, S budgets, membership, `b(u,i)`,
+//! and cover trees are a few percent combined. Repair therefore runs
+//! the fresh build on the mutated graph — the cheap phases exactly as
+//! a build runs them, which makes their output bit-identical to a
+//! rebuild by construction — and, once membership is known, tells the
+//! build's tail which expensive artifacts of the old scheme may stand
+//! in for their rebuild:
 //!
 //! * **center trees** — a tree `T(c)` is reused iff `c` was a center
 //!   before, its member list `(v, d(v, c))` is unchanged, and every
@@ -21,15 +21,17 @@
 //!   nearest changed-edge endpoint). Under those conditions the
 //!   bounded run never relaxes a changed edge, so the fresh tree —
 //!   and its Lemma 4 scheme, seeded by `c` alone — is bit-identical
-//!   to the stored one;
+//!   to the stored one. A stored tree that can no longer be read is
+//!   rebuilt;
 //! * **cover trees** — a dense scale's whole cover collection is
 //!   reused iff its extended-range member set is unchanged and no
 //!   changed edge has both endpoints inside it (then the induced
 //!   subgraph, and hence the deterministic cover construction, is
-//!   identical);
-//! * **`b(u,i)`** — copied from the old plans when `u`'s distance
-//!   vector is unchanged and its center's tree was reused (same scope,
-//!   same tree ⇒ same bounded-search level), recomputed otherwise.
+//!   identical).
+//!
+//! Everything else — storage bits and label sizes of every tree,
+//! `b(u,i)` with its Lemma 3 check for every sparse pair, the stats —
+//! comes out of the same tail code a fresh build runs.
 //!
 //! Change detection is exact, not heuristic: `graphkit::delta_impact`
 //! compares per-endpoint distance columns on the two final graphs,
@@ -51,18 +53,11 @@
 //! and the caller accumulates deltas until connectivity returns —
 //! `core::churn` leans on this for node-leave/join epochs.
 
-use std::collections::HashSet;
-
 use decomposition::Decomposition;
-use graphkit::bits::bits_for_node;
-use graphkit::{apply_deltas, delta_impact, dijkstra, Cost, GraphDelta, NodeId, INFINITY};
+use graphkit::{apply_deltas, delta_impact, dijkstra, GraphDelta, NodeId, INFINITY};
 use landmarks::LandmarkHierarchy;
 
-use crate::center_store::{CenterStore, SpillWriter};
-use crate::scheme::{
-    b_for_scope, build_center_trees, build_scale_cover, fill_dense_ix, index_and_bits, BuildSource,
-    HierarchySource, PhaseClock, Prepared, RepairState, ScaleCover, Scheme, TreeBatch,
-};
+use crate::scheme::{HierarchySource, Prepared, Reuse, ScaleCover, Scheme};
 
 /// Why repair declined to patch and rebuilt the scheme from scratch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,9 +109,9 @@ pub struct RepairReport {
     pub scales_rebuilt: usize,
     /// Dense scales whose cover collections were reused.
     pub scales_reused: usize,
-    /// Sparse `(u, i)` pairs whose `b(u,i)` was re-derived (the rest
-    /// copied over; Lemma 3 counters in [`crate::BuildStats`] reflect
-    /// only these re-verified pairs after a repair).
+    /// Sparse `(u, i)` pairs whose `b(u,i)` was derived — every one:
+    /// repair runs the build's whole `b(u,i)` pass, so the Lemma 3
+    /// counters in [`crate::BuildStats`] equal a fresh build's.
     pub b_recomputed: usize,
     /// Wall-clock seconds for the whole repair.
     pub seconds: f64,
@@ -179,16 +174,15 @@ impl Scheme {
                 seconds: t0.elapsed().as_secs_f64(),
             };
         }
-        if self.repair_state.is_none() {
+        let Some(state) = self.repair_state.as_ref() else {
             *self = Scheme::build_on_demand(g2, params);
             return RepairOutcome::RebuiltFull {
                 reason: RebuildReason::NotPrepared,
                 seconds: t0.elapsed().as_secs_f64(),
             };
-        }
+        };
 
         // ---- fresh cheap phases on the mutated graph -----------------
-        let n = g2.n();
         let k = params.k;
         let diameter2 = graphkit::diameter_matrix_free(&g2);
         let dec2 = Decomposition::build_on_demand_with_diameter(&g2, k, diameter2);
@@ -200,213 +194,20 @@ impl Scheme {
             diameter2,
         );
         if hier2.levels() != self.hier.levels() {
-            *self = Scheme::build_on_demand_parts(g2, params, dec2, hier2, ld2);
+            *self = Scheme::build_on_demand_parts(g2, params, dec2, hier2, ld2, |_| None).0;
             return RepairOutcome::RebuiltFull {
                 reason: RebuildReason::HierarchyChanged,
                 seconds: t0.elapsed().as_secs_f64(),
             };
         }
         let impact = delta_impact(&self.g, &g2, deltas);
-        let scopes2 = Scheme::on_demand_scopes(&g2, &dec2, &params, n);
-        let src = BuildSource::OnDemand { ld: ld2 };
-        let mut clock = PhaseClock::start();
-        let Prepared { mut plans, centers, members, s_budgets } =
-            Scheme::prepare(&g2, &params, &dec2, &hier2, &src, &scopes2, &mut clock);
 
-        // ---- center-tree reuse classification ------------------------
-        // Checked at entry; kept as a non-panicking guard so a logic
-        // regression degrades to the same full rebuild, not a crash.
-        let Some(state) = self.repair_state.as_ref() else {
-            *self = Scheme::build_on_demand(g2, params);
-            return RepairOutcome::RebuiltFull {
-                reason: RebuildReason::NotPrepared,
-                seconds: t0.elapsed().as_secs_f64(),
-            };
-        };
-        let mut reused = vec![false; centers.len()];
-        let mut jobs: Vec<(u32, &[(u32, Cost)])> = Vec::new();
-        let mut centers_added = 0usize;
-        for (ci, &c) in centers.iter().enumerate() {
-            let mem = members.members(ci);
-            match state.centers.binary_search(&c) {
-                Ok(oci) if state.members.members(oci) == mem => {
-                    let r = mem.iter().map(|&(_, d)| d).max().unwrap_or(0);
-                    if impact.old_prox[c as usize] > r && impact.new_prox[c as usize] > r {
-                        reused[ci] = true;
-                    } else {
-                        jobs.push((c, mem));
-                    }
-                }
-                Ok(_) => jobs.push((c, mem)),
-                Err(_) => {
-                    centers_added += 1;
-                    jobs.push((c, mem));
-                }
-            }
-        }
-        let removed: Vec<u32> =
-            state.centers.iter().copied().filter(|c| centers.binary_search(c).is_err()).collect();
-        let rebuilt_old: Vec<u32> = jobs
-            .iter()
-            .map(|&(c, _)| c)
-            .filter(|c| state.centers.binary_search(c).is_ok())
-            .collect();
-        let trees_rebuilt = jobs.len();
-        let trees_reused = centers.len() - trees_rebuilt;
-
-        // ---- rebuild invalidated trees; splice the store -------------
-        // Repair always runs the bounded (matrix-free) tree pipeline;
-        // for dense-built schemes this is bit-identical output (the
-        // bounded run settles every member exactly as the full run's
-        // ≤-radius prefix does — the same dense ≡ on-demand invariant
-        // tests/proptest_on_demand.rs asserts for whole builds).
-        // Spill-file creation failing (tmpdir full or unwritable)
-        // degrades to the resident store: higher peak memory, same
-        // routing.
-        let spill = params.spill.then(SpillWriter::create).and_then(Result::ok);
-        let batch = build_center_trees(&g2, &params, &jobs, true, spill.as_ref());
-        drop(jobs);
-        let TreeBatch { built, bix: mut bix2, lm_bits: batch_bits, labels: batch_labels } = batch;
-
-        // Exact storage re-accounting: subtract the decoded old
-        // contributions of rebuilt/removed trees, add the new batch's.
-        // Reused trees keep their (identical) contributions untouched.
-        let id_bits = bits_for_node(n);
-        let mut landmark_bits = self.landmark_bits.clone();
-        let mut center_labels = state.center_labels.clone();
-        for &c in removed.iter().chain(&rebuilt_old) {
-            // An unreadable old record leaves that center's old bits
-            // in place: the storage stats over-count (conservative),
-            // routing is unaffected.
-            if let Ok(ct) = self.center_store.decoded(c) {
-                let (_, bits, _) = index_and_bits(&ct, id_bits);
-                for (gid, b) in bits {
-                    landmark_bits[gid as usize] -= b;
-                }
-            }
-            center_labels.remove(&c);
-        }
-        for (acc, add) in landmark_bits.iter_mut().zip(&batch_bits) {
-            *acc += add;
-        }
-        for &(c, l) in &batch_labels {
-            center_labels.insert(c, l);
-        }
-        let max_center_label_bits = center_labels.values().copied().max().unwrap_or(0);
-
-        let center_store = match spill {
-            Some(w) => {
-                // Rebuilt records are already in the file; reused ones
-                // are byte-copied — the stored payload of an identical
-                // tree IS the fresh encoding.
-                for (ci, &c) in centers.iter().enumerate() {
-                    if reused[ci] {
-                        // A reused record that can no longer be read
-                        // is dropped: routes through that center fall
-                        // through to their next level (degraded
-                        // delivery, no panic).
-                        if let Ok(payload) = self.center_store.payload(c) {
-                            w.write(c, &payload);
-                        }
-                    }
-                }
-                CenterStore::Spilled(w.finish())
-            }
-            None => {
-                // Same degradation as the spill branch: an unreadable
-                // reused tree is dropped rather than panicking the
-                // repair.
-                let kept =
-                    centers.iter().enumerate().filter(|&(ci, _)| reused[ci]).filter_map(
-                        |(_, &c)| self.center_store.decoded(c).ok().map(|tree| (c, tree)),
-                    );
-                CenterStore::resident(n, built.into_iter().chain(kept))
-            }
-        };
-
-        // ---- selective b(u, i) ---------------------------------------
-        // Copy-safe iff u's distance vector is unchanged (same scope,
-        // same center) AND that center's tree was reused (same search
-        // levels, same tree indices — the copy carries the plan's
-        // source index along). Everything else is re-derived, which needs a tree
-        // index — rebuilt centers have one in the batch; reused ones
-        // referenced by an affected pair are decoded once here.
-        let reused_set: HashSet<u32> =
-            centers.iter().enumerate().filter_map(|(ci, &c)| reused[ci].then_some(c)).collect();
-        for (u, row) in scopes2.iter().enumerate() {
-            for (i, scope) in row.iter().enumerate() {
-                if scope.is_none() {
-                    continue;
-                }
-                let c = plans[u][i].center;
-                if (impact.dirty[u] || !reused_set.contains(&c)) && !bix2.contains_key(&c) {
-                    if let Ok(ct) = center_store.decoded(c) {
-                        let (entry, _, _) = index_and_bits(&ct, id_bits);
-                        bix2.insert(c, entry);
-                    }
-                }
-            }
-        }
-        let old_plans = &self.plans;
-        // merge: rows concatenated in chunk (= node id) order; the
-        // counters are sums, which commute.
-        let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
-            let base = nodes.start;
-            let mut out = vec![(0u8, u32::MAX); nodes.len() * k];
-            let mut checked = 0usize;
-            let mut violations = 0usize;
-            let mut recomputed = 0usize;
-            for u in nodes {
-                for i in 0..k {
-                    let Some(scope) = &scopes2[u][i] else { continue };
-                    let c = plans[u][i].center;
-                    let old = old_plans[u][i];
-                    if !impact.dirty[u] && reused_set.contains(&c) {
-                        debug_assert_eq!(old.center, c);
-                        debug_assert_eq!(old.a, plans[u][i].a);
-                        out[(u - base) * k + i] = (old.b, old.ix);
-                    } else if let Some(entry) = bix2.get(&c) {
-                        let (b, ch, vi) = b_for_scope(scope, entry, n, k);
-                        out[(u - base) * k + i] = (b, entry.ix_of(u as u32));
-                        checked += ch;
-                        violations += vi;
-                        recomputed += 1;
-                    } else {
-                        // Index underivable (unreadable tree record):
-                        // keep the previous plan — routing stays
-                        // functional with a possibly stale b(u, i),
-                        // and a stale source index is a miss.
-                        out[(u - base) * k + i] = (old.b, old.ix);
-                    }
-                }
-            }
-            (out, checked, violations, recomputed)
-        });
-        let mut lemma3_checked = 0usize;
-        let mut lemma3_violations = 0usize;
-        let mut b_recomputed = 0usize;
-        let mut b_flat = Vec::with_capacity(n * k);
-        for (out, checked, violations, recomputed) in b_shards {
-            b_flat.extend(out);
-            lemma3_checked += checked;
-            lemma3_violations += violations;
-            b_recomputed += recomputed;
-        }
-        for (u, row) in plans.iter_mut().enumerate() {
-            for (i, plan) in row.iter_mut().enumerate() {
-                let (b, ix) = b_flat[u * k + i];
-                if b != 0 {
-                    (plan.b, plan.ix) = (b, ix);
-                }
-            }
-        }
-        drop(bix2);
-
-        // ---- cover collections per dense scale -----------------------
-        let mut scales: Vec<u32> =
-            plans.iter().flatten().filter(|p| p.dense).map(|p| p.a).collect();
-        scales.sort_unstable();
-        scales.dedup();
+        // ---- cover collections that may stand in for a rebuild -------
+        // Reusable iff the extended-range member set is unchanged
+        // (clean nodes keep their decomposition row; dirty ones are
+        // checked explicitly) and no changed edge lies inside it —
+        // then the induced subgraph, and the deterministic cover
+        // construction seeded by (s, tree index), are identical.
         let changed_pairs: Vec<(NodeId, NodeId)> = {
             let mut ps: Vec<(u32, u32)> = deltas
                 .iter()
@@ -419,72 +220,66 @@ impl Scheme {
             ps.dedup();
             ps.into_iter().map(|(u, v)| (NodeId(u), NodeId(v))).collect()
         };
-        let mut scale_covers: Vec<ScaleCover> = Vec::with_capacity(scales.len());
-        let mut scales_reused = 0usize;
-        let mut scales_rebuilt = 0usize;
-        let mut num_cover_trees = 0usize;
-        for &s in &scales {
-            // Reusable iff the extended-range member set is unchanged
-            // (clean nodes keep their decomposition row; dirty ones are
-            // checked explicitly) and no changed edge lies inside it —
-            // then the induced subgraph, and the deterministic cover
-            // construction seeded by (s, tree index), are identical.
-            let old = self.scale_covers.binary_search_by_key(&s, |sc| sc.scale).ok();
-            let reusable = old.is_some()
-                && impact.dirty_nodes.iter().all(|&v| {
-                    self.dec.in_extended_range(NodeId(v), s) == dec2.in_extended_range(NodeId(v), s)
-                })
-                && changed_pairs
+        let old_dec = &self.dec;
+        let covers: Vec<ScaleCover> = std::mem::take(&mut self.scale_covers)
+            .into_iter()
+            .filter(|sc| {
+                let s = sc.scale;
+                impact.dirty_nodes.iter().all(|&v| {
+                    old_dec.in_extended_range(NodeId(v), s) == dec2.in_extended_range(NodeId(v), s)
+                }) && changed_pairs
                     .iter()
-                    .all(|&(p, q)| !(dec2.in_extended_range(p, s) && dec2.in_extended_range(q, s)));
-            let sc = match old.filter(|_| reusable) {
-                Some(p) => {
-                    scales_reused += 1;
-                    self.scale_covers.remove(p)
-                }
-                None => {
-                    scales_rebuilt += 1;
-                    build_scale_cover(&g2, &dec2, &params, s)
-                }
-            };
-            num_cover_trees += sc.routers.len();
-            scale_covers.push(sc);
-        }
-        fill_dense_ix(&mut plans, &scale_covers);
+                    .all(|&(p, q)| !(dec2.in_extended_range(p, s) && dec2.in_extended_range(q, s)))
+            })
+            .collect();
 
-        // ---- commit --------------------------------------------------
-        let report = RepairReport {
+        // ---- the build, with center trees classified for reuse -------
+        // The build runs the bounded (matrix-free) tree pipeline; for
+        // dense-built schemes this is bit-identical output (the same
+        // dense ≡ on-demand invariant tests/proptest_on_demand.rs
+        // asserts for whole builds).
+        let store = &self.center_store;
+        let (mut centers_added, mut centers_removed, mut b_recomputed) = (0, 0, 0);
+        let oracle = |p: &Prepared| {
+            let trees = p
+                .centers
+                .iter()
+                .enumerate()
+                .map(|(ci, &c)| {
+                    let mem = p.members.members(ci);
+                    match state.centers.binary_search(&c) {
+                        Ok(oci) if state.members.members(oci) == mem => {
+                            let r = mem.iter().map(|&(_, d)| d).max().unwrap_or(0);
+                            impact.old_prox[c as usize] > r && impact.new_prox[c as usize] > r
+                        }
+                        Ok(_) => false,
+                        Err(_) => {
+                            centers_added += 1;
+                            false
+                        }
+                    }
+                })
+                .collect();
+            centers_removed =
+                state.centers.iter().filter(|c| p.centers.binary_search(c).is_err()).count();
+            b_recomputed = p.plans.iter().flatten().filter(|plan| !plan.dense).count();
+            Some(Reuse { store, trees, covers })
+        };
+        let (scheme, reused) = Scheme::build_on_demand_parts(g2, params, dec2, hier2, ld2, oracle);
+        *self = scheme;
+        let st = &self.stats;
+        RepairOutcome::Repaired(RepairReport {
             changed_edges: changed_pairs.len(),
             dirty_nodes: impact.dirty_nodes.len(),
-            centers_total: centers.len(),
-            trees_rebuilt,
-            trees_reused,
+            centers_total: st.num_center_trees,
+            trees_rebuilt: st.num_center_trees - reused.trees,
+            trees_reused: reused.trees,
             centers_added,
-            centers_removed: removed.len(),
-            scales_rebuilt,
-            scales_reused,
+            centers_removed,
+            scales_rebuilt: st.num_scales - reused.scales,
+            scales_reused: reused.scales,
             b_recomputed,
-            seconds: 0.0,
-        };
-        self.stats.s_budgets = s_budgets;
-        self.stats.num_center_trees = centers.len();
-        self.stats.total_members = members.items.len();
-        self.stats.lemma3_checked = lemma3_checked;
-        self.stats.lemma3_violations = lemma3_violations;
-        self.stats.num_scales = scale_covers.len();
-        self.stats.num_cover_trees = num_cover_trees;
-        // stats.phase_seconds still describes the original build; the
-        // repair's own timings live in the report.
-        self.g = g2;
-        self.params = params;
-        self.dec = dec2;
-        self.hier = hier2;
-        self.plans = plans;
-        self.center_store = center_store;
-        self.landmark_bits = landmark_bits;
-        self.max_center_label_bits = max_center_label_bits;
-        self.scale_covers = scale_covers;
-        self.repair_state = Some(RepairState { centers, members, center_labels });
-        RepairOutcome::Repaired(RepairReport { seconds: t0.elapsed().as_secs_f64(), ..report })
+            seconds: t0.elapsed().as_secs_f64(),
+        })
     }
 }

@@ -63,11 +63,6 @@ pub enum SBudgetMode {
     /// membership constraints require — strictly smaller S sets (and
     /// landmark trees) wherever requirements are skewed.
     PerNode,
-    /// Compute per-node requirements, then flatten each level to its
-    /// max over nodes — by construction identical to
-    /// [`SBudgetMode::Global`] (the parity special case that
-    /// `tests/budget_parity.rs` asserts end to end).
-    PerNodeUniform,
 }
 
 /// Construction parameters.
@@ -94,7 +89,7 @@ pub struct SchemeParams {
     pub spill: bool,
     /// Retain the build-time state (`RepairState`) that
     /// [`Scheme::repair`] needs to patch the scheme in place after
-    /// graph deltas — old membership lists and per-center label sizes,
+    /// graph deltas — the old centers and their membership lists,
     /// ~O(total members) extra resident memory. Off by default so the
     /// construction-scale memory tripwires are unaffected; a scheme
     /// built without it (or loaded from a snapshot, which never
@@ -211,7 +206,7 @@ impl Budgets {
 /// What the `b(u,i)` pass needs from one finished center tree, without
 /// keeping (or reloading) the tree itself: each member's bounded-search
 /// level and tree index, sorted by host id.
-pub(crate) struct BuildIndex {
+struct BuildIndex {
     /// `(host id, search level, tree index)`, sorted by id.
     levels: Vec<(u32, u8, TreeIx)>,
     /// Max over `levels` — lets a whole-graph `E(u,i)` read `b(u,i)`
@@ -221,7 +216,7 @@ pub(crate) struct BuildIndex {
 
 impl BuildIndex {
     /// Tree index of member `v`, `u32::MAX` when `v` is no member.
-    pub(crate) fn ix_of(&self, v: u32) -> TreeIx {
+    fn ix_of(&self, v: u32) -> TreeIx {
         let found = self.levels.binary_search_by_key(&v, |&(id, _, _)| id).ok();
         found.and_then(|p| self.levels.get(p)).map_or(u32::MAX, |&(_, _, ix)| ix)
     }
@@ -244,23 +239,41 @@ impl CenterMembers {
 
 /// Build-time state retained (under [`SchemeParams::repairable`]) so
 /// [`Scheme::repair`] can tell which center trees a delta batch left
-/// untouched and keep the bit-exact storage accounting without
-/// re-deriving the whole scheme. Everything else repair needs is
-/// recomputed fresh on the mutated graph (see DESIGN.md §"Churn &
-/// incremental repair").
+/// untouched. Everything else repair needs is recomputed fresh on the
+/// mutated graph (see DESIGN.md §"Churn & incremental repair").
 pub(crate) struct RepairState {
     /// The distinct centers of the previous build, ascending.
     pub(crate) centers: Vec<u32>,
     /// Their membership lists (CSR aligned with `centers`).
     pub(crate) members: CenterMembers,
-    /// Per-center max routing-label bits — lets repair maintain
-    /// `max_center_label_bits` exactly when trees are added/removed.
-    pub(crate) center_labels: HashMap<u32, u64>,
+}
+
+/// What a repair lets the build's tail take over from the scheme it
+/// patches instead of rebuilding: the tail still derives every
+/// per-tree datum (storage bits, label sizes, the `b(u,i)` index) from
+/// the final trees, whichever way they were obtained.
+pub(crate) struct Reuse<'a> {
+    /// The patched scheme's center trees.
+    pub(crate) store: &'a CenterStore,
+    /// Per center, aligned with the new `centers`: may its stored tree
+    /// stand in for a rebuild?
+    pub(crate) trees: Vec<bool>,
+    /// The patched scheme's cover collections that may stand in for a
+    /// rebuild of their scale, ascending by scale.
+    pub(crate) covers: Vec<ScaleCover>,
+}
+
+/// How much of a [`Reuse`] the tail took over: a stored tree that can
+/// no longer be read is rebuilt, and a reusable scale the new plans no
+/// longer use is dropped.
+pub(crate) struct Reused {
+    pub(crate) trees: usize,
+    pub(crate) scales: usize,
 }
 
 /// How a sparse level's region `E(u, i)` is enumerated during
 /// construction.
-pub(crate) enum EScope {
+enum EScope {
     /// `a(u,i+1)` hit the `⌈log₂Δ⌉+3` cap, so `E(u,i) = V` exactly
     /// (see [`Decomposition::e_is_global`]); loops over it collapse
     /// to per-center aggregates instead of Θ(n) enumerations.
@@ -273,7 +286,7 @@ pub(crate) enum EScope {
 /// Where preprocessing reads distances from: the dense matrix (small
 /// n, exact parity oracle) or the matrix-free sources — landmark
 /// columns plus per-node bounded Dijkstras.
-pub(crate) enum BuildSource<'a> {
+enum BuildSource<'a> {
     Dense {
         d: &'a DistMatrix,
         /// `sorted[v][l]` = `C_l` as `(d(v,·), id)`, sorted — the
@@ -344,7 +357,7 @@ pub(crate) fn scale_cover(covers: &[ScaleCover], s: u32) -> Option<&ScaleCover> 
 
 /// Point every dense plan at its source's tree index in the home cover
 /// tree of its scale.
-pub(crate) fn fill_dense_ix(plans: &mut [Vec<LevelPlan>], covers: &[ScaleCover]) {
+fn fill_dense_ix(plans: &mut [Vec<LevelPlan>], covers: &[ScaleCover]) {
     for (u, row) in plans.iter_mut().enumerate() {
         for plan in row.iter_mut().filter(|p| p.dense) {
             plan.ix = scale_cover(covers, plan.a)
@@ -444,7 +457,7 @@ impl Scheme {
         .flatten()
         .collect();
         let scopes = Self::dense_scopes(&g, d, &dec, &params);
-        Self::assemble(g, params, dec, hier, BuildSource::Dense { d, sorted }, scopes)
+        Self::assemble(g, params, dec, hier, BuildSource::Dense { d, sorted }, scopes, |_| None).0
     }
 
     /// Build the scheme without ever materializing an n×n matrix — the
@@ -490,23 +503,24 @@ impl Scheme {
             params.landmark_attempts,
             diameter,
         );
-        Self::build_on_demand_parts(g, params, dec, hier, ld)
+        Self::build_on_demand_parts(g, params, dec, hier, ld, |_| None).0
     }
 
     /// The tail of [`Scheme::build_on_demand`] once the decomposition
     /// and the verified hierarchy (with its landmark columns) exist —
-    /// shared with the repair path, which computes those parts itself
-    /// on the mutated graph and falls back here when the hierarchy
-    /// shape changed.
-    pub(crate) fn build_on_demand_parts(
+    /// shared with [`Scheme::repair`], which computes those parts
+    /// itself on the mutated graph and passes a `reuse` oracle (see
+    /// [`Scheme::assemble`]).
+    pub(crate) fn build_on_demand_parts<'r>(
         g: Graph,
         params: SchemeParams,
         dec: Decomposition,
         hier: LandmarkHierarchy,
         ld: LandmarkDistances,
-    ) -> Self {
+        reuse: impl FnOnce(&Prepared) -> Option<Reuse<'r>>,
+    ) -> (Self, Reused) {
         let scopes = Self::on_demand_scopes(&g, &dec, &params, g.n());
-        Self::assemble(g, params, dec, hier, BuildSource::OnDemand { ld }, scopes)
+        Self::assemble(g, params, dec, hier, BuildSource::OnDemand { ld }, scopes, reuse)
     }
 
     /// Per-(u, i) `E(u,i)` scopes from dense rows (`None` = dense
@@ -552,7 +566,7 @@ impl Scheme {
 
     /// Per-(u, i) `E(u,i)` scopes from radius-bounded Dijkstras,
     /// parallel over node chunks with per-worker scratch.
-    pub(crate) fn on_demand_scopes(
+    fn on_demand_scopes(
         g: &Graph,
         dec: &Decomposition,
         params: &SchemeParams,
@@ -594,20 +608,28 @@ impl Scheme {
     /// precomputed `scopes`, so the dense and matrix-free paths are
     /// the same algorithm over different storage; every phase fans out
     /// over deterministic chunks and merges in chunk order.
-    fn assemble(
+    ///
+    /// Once membership is known, `reuse` may name center trees and
+    /// cover collections of an older scheme that stand in for their
+    /// rebuild — the hook [`Scheme::repair`] uses; a fresh build
+    /// passes `|_| None`. Everything after that (tree storage bits and
+    /// labels, `b(u,i)`, covers, stats) is the same code either way.
+    fn assemble<'r>(
         g: Graph,
         params: SchemeParams,
         dec: Decomposition,
         hier: LandmarkHierarchy,
         src: BuildSource<'_>,
         scopes: Vec<Vec<Option<EScope>>>,
-    ) -> Self {
+        reuse: impl FnOnce(&Prepared) -> Option<Reuse<'r>>,
+    ) -> (Self, Reused) {
         let n = g.n();
         let k = params.k;
         let mut stats = BuildStats::default();
         let mut clock = PhaseClock::start();
-        let Prepared { mut plans, centers, members, s_budgets } =
-            Self::prepare(&g, &params, &dec, &hier, &src, &scopes, &mut clock);
+        let prepared = Self::prepare(&g, &params, &dec, &hier, &src, &scopes, &mut clock);
+        let reuse = reuse(&prepared);
+        let Prepared { mut plans, centers, members, s_budgets } = prepared;
         stats.s_budgets = s_budgets;
 
         // ---- fused per-center pipeline -------------------------------
@@ -618,10 +640,10 @@ impl Scheme {
         let spill = params.spill.then(SpillWriter::create).and_then(Result::ok);
         let jobs: Vec<(u32, &[(u32, Cost)])> =
             centers.iter().enumerate().map(|(ci, &c)| (c, members.members(ci))).collect();
-        let TreeBatch { built, bix, lm_bits: landmark_bits, labels } =
-            build_center_trees(&g, &params, &jobs, bounded, spill.as_ref());
+        let old_trees = reuse.as_ref().map(|r| (r.store, r.trees.as_slice()));
+        let TreeBatch { built, index, lm_bits: landmark_bits, max_label, reused: trees_reused } =
+            build_center_trees(&g, &params, &jobs, bounded, old_trees, spill.as_ref());
         drop(jobs);
-        let max_center_label_bits = labels.iter().map(|&(_, l)| l).max().unwrap_or(0);
         let center_store = match spill {
             Some(w) => CenterStore::Spilled(w.finish()),
             None => CenterStore::resident(n, built),
@@ -642,7 +664,9 @@ impl Scheme {
             for u in nodes {
                 for i in 0..k {
                     let Some(scope) = &scopes[u][i] else { continue };
-                    let entry = &bix[&plans[u][i].center];
+                    // Every sparse plan's center is in `centers`.
+                    let Ok(ci) = centers.binary_search(&plans[u][i].center) else { continue };
+                    let entry = &index[ci];
                     let (b, c, v) = b_for_scope(scope, entry, n, k);
                     out[(u - base) * k + i] = (b, entry.ix_of(u as u32));
                     checked += c;
@@ -665,7 +689,7 @@ impl Scheme {
                 }
             }
         }
-        drop(bix);
+        drop(index);
         clock.lap("b_levels", String::new());
 
         // ---- cover trees per dense scale -----------------------------
@@ -673,21 +697,26 @@ impl Scheme {
             plans.iter().flatten().filter(|p| p.dense).map(|p| p.a).collect();
         scales.sort_unstable();
         scales.dedup();
-        let scale_covers: Vec<ScaleCover> =
-            scales.iter().map(|&s| build_scale_cover(&g, &dec, &params, s)).collect();
+        let mut old_covers = reuse.map(|r| r.covers).unwrap_or_default();
+        let mut scales_reused = 0usize;
+        let scale_covers: Vec<ScaleCover> = scales
+            .iter()
+            .map(|&s| match old_covers.binary_search_by_key(&s, |sc| sc.scale) {
+                Ok(p) => {
+                    scales_reused += 1;
+                    old_covers.remove(p)
+                }
+                Err(_) => build_scale_cover(&g, &dec, &params, s),
+            })
+            .collect();
         stats.num_cover_trees = scale_covers.iter().map(|sc| sc.routers.len()).sum();
         stats.num_scales = scale_covers.len();
         fill_dense_ix(&mut plans, &scale_covers);
         clock.lap("covers", String::new());
         stats.phase_seconds = clock.finish();
 
-        let repair_state = params.repairable.then(|| RepairState {
-            centers,
-            center_labels: labels.into_iter().collect(),
-            members,
-        });
-
-        Scheme {
+        let repair_state = params.repairable.then_some(RepairState { centers, members });
+        let scheme = Scheme {
             g,
             params,
             dec,
@@ -695,20 +724,20 @@ impl Scheme {
             plans,
             center_store,
             landmark_bits,
-            max_center_label_bits,
+            max_center_label_bits: max_label,
             scale_covers,
             stats,
             repair_state,
-        }
+        };
+        (scheme, Reused { trees: trees_reused, scales: scales_reused })
     }
 
     /// Construction phases 1–3 — per-(u, i) classification and centers,
-    /// instance-tuned S budgets, and center-tree membership — shared
-    /// verbatim between [`Scheme::assemble`] and [`Scheme::repair`]
-    /// (which runs them against the mutated graph; their cost is a few
+    /// instance-tuned S budgets, and center-tree membership. A repair
+    /// runs them afresh on the mutated graph (their cost is a few
     /// percent of a full build, so repair recomputes rather than
     /// patches them — see DESIGN.md §"Churn & incremental repair").
-    pub(crate) fn prepare(
+    fn prepare(
         g: &Graph,
         params: &SchemeParams,
         dec: &Decomposition,
@@ -830,7 +859,7 @@ impl Scheme {
             })
             .collect();
         let budgets = match params.s_budget_mode {
-            SBudgetMode::Global | SBudgetMode::PerNodeUniform => Budgets::Global(level_max.clone()),
+            SBudgetMode::Global => Budgets::Global(level_max.clone()),
             SBudgetMode::PerNode => Budgets::PerNode {
                 per: raw.iter().map(|&x| (x as usize).max(1).min(paper_budget) as u32).collect(),
                 k,
@@ -1234,7 +1263,7 @@ pub(crate) fn level_is_dense(
 
 /// Phase wall-clock bookkeeping behind [`BuildStats::phase_seconds`],
 /// echoed to stderr when `SCHEME_TIMING` is set.
-pub(crate) struct PhaseClock {
+struct PhaseClock {
     started: std::time::Instant,
     prev: f64,
     timing: bool,
@@ -1242,7 +1271,7 @@ pub(crate) struct PhaseClock {
 }
 
 impl PhaseClock {
-    pub(crate) fn start() -> Self {
+    fn start() -> Self {
         PhaseClock {
             started: std::time::Instant::now(),
             prev: 0.0,
@@ -1251,7 +1280,7 @@ impl PhaseClock {
         }
     }
 
-    pub(crate) fn lap(&mut self, name: &str, detail: String) {
+    fn lap(&mut self, name: &str, detail: String) {
         let t = self.started.elapsed().as_secs_f64();
         self.laps.push((name.to_string(), t - self.prev));
         self.prev = t;
@@ -1260,7 +1289,7 @@ impl PhaseClock {
         }
     }
 
-    pub(crate) fn finish(self) -> Vec<(String, f64)> {
+    fn finish(self) -> Vec<(String, f64)> {
         self.laps
     }
 }
@@ -1279,109 +1308,119 @@ pub(crate) struct Prepared {
 
 /// One finished batch from the fused per-center pipeline: resident
 /// trees (empty when spilled — the writer received them instead), the
-/// b-pass indexes keyed by center, per-node storage-bit contributions,
-/// and each tree's largest routing label.
-pub(crate) struct TreeBatch {
-    pub(crate) built: Vec<(u32, Arc<ErrorReportingTree>)>,
-    pub(crate) bix: HashMap<u32, BuildIndex>,
-    pub(crate) lm_bits: Vec<u64>,
-    pub(crate) labels: Vec<(u32, u64)>,
+/// b-pass index of each job in job order, per-node storage-bit
+/// contributions, the largest routing label, and how many trees were
+/// taken over from an old store.
+struct TreeBatch {
+    built: Vec<(u32, Arc<ErrorReportingTree>)>,
+    index: Vec<BuildIndex>,
+    lm_bits: Vec<u64>,
+    max_label: u64,
+    reused: usize,
+}
+
+impl TreeBatch {
+    /// An empty batch over `n` host nodes with room for `jobs` trees.
+    fn new(n: usize, jobs: usize) -> Self {
+        TreeBatch {
+            built: Vec::new(),
+            index: Vec::with_capacity(jobs),
+            lm_bits: vec![0u64; n],
+            max_label: 0,
+            reused: 0,
+        }
+    }
 }
 
 /// The fused per-center pipeline over an explicit job list: bounded
 /// Dijkstra → tree extraction against reusable scratch → Lemma 4
 /// scheme → storage accounting → store (resident Arc or spill
 /// record). Nothing tree-sized survives the pass beyond what routing
-/// and the b-pass actually consume. A full build passes every center;
-/// repair passes only the invalidated ones.
-pub(crate) fn build_center_trees(
+/// and the b-pass actually consume. A job marked in `reuse` takes its
+/// tree from the old store instead of building it (falling back to
+/// the build when the old record cannot be read); accounting and the
+/// store write are the same for every tree.
+fn build_center_trees(
     g: &Graph,
     params: &SchemeParams,
     jobs: &[(u32, &[(u32, Cost)])],
     bounded: bool,
+    reuse: Option<(&CenterStore, &[bool])>,
     spill: Option<&SpillWriter>,
 ) -> TreeBatch {
     let n = g.n();
     let k = params.k;
     let sigma = graphkit::ids::nth_root_ceil(n as u64, k as u32).max(2);
     let id_bits = bits_for_node(n);
-    struct CenterShard {
-        built: Vec<(u32, Arc<ErrorReportingTree>)>,
-        index: Vec<(u32, BuildIndex)>,
-        lm_bits: Vec<u64>,
-        labels: Vec<(u32, u64)>,
-    }
-    // merge: keyed by center id (maps), plus elementwise bit sums and
-    // per-center label entries — shard order immaterial.
+    // merge: built trees and indexes concatenated in chunk (= job)
+    // order; bit sums, the label max and the reuse count commute.
     let shards = graphkit::metrics::par_chunks(jobs.len(), |range| {
         let mut scratch = DijkstraScratch::new(n);
         let mut tscratch = TreeScratch::new(n);
-        let mut built = Vec::new();
-        let mut index = Vec::with_capacity(range.len());
-        let mut lm_bits = vec![0u64; n];
-        let mut labels = Vec::with_capacity(range.len());
+        let mut batch = TreeBatch::new(n, range.len());
         for ji in range {
             let (c, mem) = jobs[ji];
-            let radius = if bounded {
-                mem.iter().map(|&(_, dist)| dist).max().unwrap_or(0)
-            } else {
-                INFINITY - 1
-            };
-            scratch.run(g, NodeId(c), radius, usize::MAX);
-            let tree = Tree::from_dist_parents_with(
-                &mut tscratch,
-                g,
-                NodeId(c),
-                scratch.dists(),
-                scratch.parents(),
-                mem.iter().map(|&(v, _)| NodeId(v)),
-            );
-            let ert = ErrorReportingTree::with_sigma(
-                tree,
-                k,
-                sigma,
-                params.seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
+            let kept = reuse
+                .filter(|&(_, keep)| keep.get(ji) == Some(&true))
+                .and_then(|(store, _)| store.decoded(c).ok());
+            batch.reused += usize::from(kept.is_some());
+            let ert = kept.unwrap_or_else(|| {
+                let radius = if bounded {
+                    mem.iter().map(|&(_, dist)| dist).max().unwrap_or(0)
+                } else {
+                    INFINITY - 1
+                };
+                scratch.run(g, NodeId(c), radius, usize::MAX);
+                let tree = Tree::from_dist_parents_with(
+                    &mut tscratch,
+                    g,
+                    NodeId(c),
+                    scratch.dists(),
+                    scratch.parents(),
+                    mem.iter().map(|&(v, _)| NodeId(v)),
+                );
+                Arc::new(ErrorReportingTree::with_sigma(
+                    tree,
+                    k,
+                    sigma,
+                    params.seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                ))
+            });
             let (entry, bits, max_label) = index_and_bits(&ert, id_bits);
             for &(gid, b) in &bits {
-                lm_bits[gid as usize] += b;
+                batch.lm_bits[gid as usize] += b;
             }
-            labels.push((c, max_label));
-            index.push((c, entry));
+            batch.max_label = batch.max_label.max(max_label);
+            batch.index.push(entry);
             if let Some(w) = spill {
                 let mut rec = wire::Writer::new();
                 ert.to_wire(&mut rec);
                 w.write(c, &rec.into_bytes());
             } else {
-                built.push((c, Arc::new(ert)));
+                batch.built.push((c, ert));
             }
         }
-        CenterShard { built, index, lm_bits, labels }
+        batch
     });
-    let mut built = Vec::new();
-    let mut bix: HashMap<u32, BuildIndex> = HashMap::with_capacity(jobs.len());
-    let mut lm_bits = vec![0u64; n];
-    let mut labels = Vec::with_capacity(jobs.len());
+    let mut out = TreeBatch::new(n, jobs.len());
     for shard in shards {
-        built.extend(shard.built);
-        for (acc, add) in lm_bits.iter_mut().zip(&shard.lm_bits) {
+        out.built.extend(shard.built);
+        out.index.extend(shard.index);
+        for (acc, add) in out.lm_bits.iter_mut().zip(&shard.lm_bits) {
             *acc += add;
         }
-        bix.extend(shard.index);
-        labels.extend(shard.labels);
+        out.max_label = out.max_label.max(shard.max_label);
+        out.reused += shard.reused;
     }
-    TreeBatch { built, bix, lm_bits, labels }
+    out
 }
 
 /// Per-tree derived data, usable on a freshly built tree or one
-/// decoded back from the spill/snapshot store: the b-pass index (with
-/// each member's tree index, which the plans keep), each member's
-/// `(host id, storage-bit)` contribution (root id + τ), and the largest
-/// routing label.
-pub(crate) fn index_and_bits(
-    ert: &ErrorReportingTree,
-    id_bits: u64,
-) -> (BuildIndex, Vec<(u32, u64)>, u64) {
+/// taken over from an old store: the b-pass index (with each member's
+/// tree index, which the plans keep), each member's `(host id,
+/// storage-bit)` contribution (root id + τ), and the largest routing
+/// label.
+fn index_and_bits(ert: &ErrorReportingTree, id_bits: u64) -> (BuildIndex, Vec<(u32, u64)>, u64) {
     let size = ert.labeled().size();
     let mut levels: Vec<(u32, u8, TreeIx)> = Vec::with_capacity(size);
     let mut bits: Vec<(u32, u64)> = Vec::with_capacity(size);
@@ -1402,12 +1441,7 @@ pub(crate) fn index_and_bits(
 
 /// `b(u, i)` for one sparse scope against its center's tree index,
 /// plus that region's Lemma 3 `(checked, violations)` counts.
-pub(crate) fn b_for_scope(
-    scope: &EScope,
-    entry: &BuildIndex,
-    n: usize,
-    k: usize,
-) -> (u8, usize, usize) {
+fn b_for_scope(scope: &EScope, entry: &BuildIndex, n: usize, k: usize) -> (u8, usize, usize) {
     let mut checked = 0usize;
     let mut violations = 0usize;
     let mut b = 1usize;
@@ -1445,12 +1479,7 @@ pub(crate) fn b_for_scope(
 /// per tree lifted back to host ids. Deterministic in
 /// `(g, dec, params, s)` — repair reuses a scale's covers only when
 /// each of those provably matches what a fresh build would pass here.
-pub(crate) fn build_scale_cover(
-    g: &Graph,
-    dec: &Decomposition,
-    params: &SchemeParams,
-    s: u32,
-) -> ScaleCover {
+fn build_scale_cover(g: &Graph, dec: &Decomposition, params: &SchemeParams, s: u32) -> ScaleCover {
     let n = g.n();
     let k = params.k;
     let sigma = graphkit::ids::nth_root_ceil(n as u64, k as u32).max(2);
@@ -1468,19 +1497,11 @@ pub(crate) fn build_scale_cover(
         graphkit::metrics::par_chunks(cover.trees.len(), |range| {
             range
                 .map(|ti| {
-                    let host_tree = remap_tree(&cover.trees[ti], &sub.to_host);
-                    let ix: HashMap<u32, TreeIx> = host_tree
-                        .graph_ids()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &gid)| (gid, i as TreeIx))
-                        .collect();
-                    let router = CoverTreeRouter::new(
-                        host_tree,
+                    CoverEntry::from_router(CoverTreeRouter::new(
+                        remap_tree(&cover.trees[ti], &sub.to_host),
                         sigma,
                         params.seed ^ ((s as u64) << 32 | ti as u64),
-                    );
-                    CoverEntry { router, ix }
+                    ))
                 })
                 .collect::<Vec<CoverEntry>>()
         })

@@ -244,7 +244,6 @@ impl Scheme {
         w.u8(match p.s_budget_mode {
             SBudgetMode::Global => 0,
             SBudgetMode::PerNode => 1,
-            SBudgetMode::PerNodeUniform => 2,
         });
         w.u8(p.spill as u8);
         w.u64(self.max_center_label_bits);
@@ -313,7 +312,6 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
     let s_budget_mode = match r.u8()? {
         0 => SBudgetMode::Global,
         1 => SBudgetMode::PerNode,
-        2 => SBudgetMode::PerNodeUniform,
         _ => return Err(wire::invalid("bad budget-mode tag")),
     };
     let spill = match r.u8()? {

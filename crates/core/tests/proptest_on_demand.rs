@@ -4,6 +4,9 @@
 //! and identical routed paths/stretch — on random weighted graphs
 //! across the aspect-ratio range.
 
+mod common;
+
+use common::assert_same_scheme;
 use graphkit::gen::WeightDist;
 use graphkit::metrics::apsp;
 use proptest::prelude::*;
@@ -45,33 +48,10 @@ proptest! {
         let dense = Scheme::build_with_matrix(g.clone(), &d, params);
         let od = Scheme::build_on_demand(g.clone(), params);
 
-        // Build diagnostics must agree exactly.
-        prop_assert_eq!(&dense.stats().s_budgets, &od.stats().s_budgets);
-        prop_assert_eq!(dense.stats().lemma3_checked, od.stats().lemma3_checked);
-        prop_assert_eq!(dense.stats().lemma3_violations, od.stats().lemma3_violations);
-        prop_assert_eq!(dense.stats().num_center_trees, od.stats().num_center_trees);
-        prop_assert_eq!(dense.stats().num_scales, od.stats().num_scales);
-        prop_assert_eq!(dense.stats().num_cover_trees, od.stats().num_cover_trees);
-        prop_assert_eq!(dense.decomposition().log_delta(), od.decomposition().log_delta());
-
-        // Identical storage at every node, component by component.
-        for v in g.nodes() {
-            let a = dense.storage_breakdown(v);
-            let b = od.storage_breakdown(v);
-            prop_assert_eq!(a.plans_bits, b.plans_bits, "plans bits at {}", v);
-            prop_assert_eq!(a.landmark_bits, b.landmark_bits, "landmark bits at {}", v);
-            prop_assert_eq!(a.cover_bits, b.cover_bits, "cover bits at {}", v);
-        }
-
-        // Identical routing: same delivery, same walk, same cost on
-        // sampled pairs (hence identical stretch against any truth).
-        for (s, t) in pairs::sample(g.n(), 200, seed ^ 0x77) {
-            let ta = dense.route(s, t);
-            let tb = od.route(s, t);
-            prop_assert_eq!(ta.delivered, tb.delivered, "{}->{}", s, t);
-            prop_assert_eq!(ta.cost, tb.cost, "{}->{}", s, t);
-            prop_assert_eq!(&ta.path, &tb.path, "{}->{}", s, t);
-        }
+        // Identical diagnostics, storage at every node (component by
+        // component), and walks on sampled pairs — hence identical
+        // stretch against any truth.
+        assert_same_scheme(&format!("k={k} seed={seed:#x}"), &od, &dense, 200, seed ^ 0x77);
     }
 }
 

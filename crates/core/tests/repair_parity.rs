@@ -1,9 +1,13 @@
 //! Repair ≡ rebuild, bit for bit: after any delta batch,
 //! `Scheme::repair` must leave the scheme indistinguishable — routed
-//! paths, costs, and per-node storage accounting — from a scheme
-//! built from scratch on the mutated graph. This is the load-bearing
-//! guarantee behind `core::churn` (CLAIMS.md "incremental repair").
+//! paths, costs, per-node storage accounting, and build stats with
+//! the Lemma 3 counters — from a scheme built from scratch on the
+//! mutated graph. This is the load-bearing guarantee behind
+//! `core::churn` (CLAIMS.md "incremental repair").
 
+mod common;
+
+use common::assert_same_scheme;
 use graphkit::gen::Family;
 use graphkit::{apply_deltas, dijkstra, Graph, GraphDelta, NodeId, INFINITY};
 use routing_core::{RepairOutcome, Scheme, SchemeParams};
@@ -62,29 +66,6 @@ fn restores(g: &Graph, deltas: &[GraphDelta]) -> Vec<GraphDelta> {
         .collect()
 }
 
-fn assert_same_scheme(label: &str, got: &Scheme, want: &Scheme, n: usize, pair_seed: u64) {
-    for v in (0..n as u32).map(NodeId) {
-        assert_eq!(got.storage_bits(v), want.storage_bits(v), "{label}: storage at {v}");
-    }
-    assert_eq!(got.header_bits_bound(), want.header_bits_bound(), "{label}: header bound");
-    let gs = got.stats();
-    let ws = want.stats();
-    assert_eq!(gs.num_center_trees, ws.num_center_trees, "{label}: center trees");
-    assert_eq!(gs.total_members, ws.total_members, "{label}: members");
-    assert_eq!(gs.num_scales, ws.num_scales, "{label}: scales");
-    assert_eq!(gs.num_cover_trees, ws.num_cover_trees, "{label}: cover trees");
-    assert_eq!(gs.s_budgets, ws.s_budgets, "{label}: S budgets");
-    for (s, t) in pairs::sample(n, 250, pair_seed) {
-        let ta = got.route(s, t);
-        let tb = want.route(s, t);
-        assert_eq!(
-            (ta.delivered, ta.cost, &ta.path),
-            (tb.delivered, tb.cost, &tb.path),
-            "{label}: {s}->{t}"
-        );
-    }
-}
-
 /// Family × k × store/build shape, two repair rounds each (fail+reweigh,
 /// then restore+reweigh) — every round compared against a from-scratch
 /// build of the mutated graph.
@@ -129,7 +110,7 @@ fn repair_matches_fresh_build_bit_for_bit() {
                     other => panic!("{label}: round 1 not Repaired: {other:?}"),
                 }
                 let fresh1 = build(g1.clone(), params);
-                assert_same_scheme(&label, &scheme, &fresh1, g1.n(), 0x9E9B);
+                assert_same_scheme(&label, &scheme, &fresh1, 250, 0x9E9B);
 
                 let mut batch2 = restores(&g0, &batch1);
                 let touched: Vec<_> = batch2.iter().map(|d| d.endpoints()).collect();
@@ -147,7 +128,7 @@ fn repair_matches_fresh_build_bit_for_bit() {
                     other => panic!("{label}: round 2 not Repaired: {other:?}"),
                 }
                 let fresh2 = build(g2.clone(), params);
-                assert_same_scheme(&label, &scheme, &fresh2, g2.n(), 0x9E9C);
+                assert_same_scheme(&label, &scheme, &fresh2, 250, 0x9E9C);
             }
         }
     }
@@ -187,7 +168,7 @@ fn unprepared_scheme_rebuilds_then_repairs() {
     let g2 = apply_deltas(&g1, &batch2);
     assert!(matches!(scheme.repair(&batch2), RepairOutcome::Repaired(_)));
     let fresh = Scheme::build_on_demand(g2.clone(), SchemeParams::new(2, 0xE1).with_repair());
-    assert_same_scheme("unprepared-then-repair", &scheme, &fresh, g2.n(), 0xE2);
+    assert_same_scheme("unprepared-then-repair", &scheme, &fresh, 250, 0xE2);
 }
 
 /// A batch that disconnects the graph is deferred: the scheme stays
@@ -229,5 +210,5 @@ fn disconnecting_batch_defers_until_connectivity_returns() {
         other => panic!("accumulated repair: {other:?}"),
     }
     let fresh = Scheme::build_on_demand(g2.clone(), params);
-    assert_same_scheme("defer-then-repair", &scheme, &fresh, g2.n(), 0xE5);
+    assert_same_scheme("defer-then-repair", &scheme, &fresh, 250, 0xE5);
 }

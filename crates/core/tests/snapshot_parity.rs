@@ -4,9 +4,12 @@
 //! storage, and report identical build stats; and a corrupted or
 //! truncated snapshot must surface as an `Err`, never a panic.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use common::assert_same_scheme;
 use graphkit::gen::Family;
 use graphkit::metrics::apsp;
 use graphkit::NodeId;
@@ -35,25 +38,6 @@ impl Drop for TempPath {
     }
 }
 
-/// Assert that `loaded` is behaviorally identical to `built`.
-fn assert_parity(g: &graphkit::Graph, built: &Scheme, loaded: &Scheme, tag: &str) {
-    assert_eq!(built.stats().s_budgets, loaded.stats().s_budgets, "{tag}");
-    assert_eq!(built.stats().num_center_trees, loaded.stats().num_center_trees, "{tag}");
-    assert_eq!(built.stats().num_cover_trees, loaded.stats().num_cover_trees, "{tag}");
-    assert_eq!(built.stats().total_members, loaded.stats().total_members, "{tag}");
-    assert_eq!(built.header_bits_bound(), loaded.header_bits_bound(), "{tag}");
-    for v in g.nodes() {
-        assert_eq!(built.storage_bits(v), loaded.storage_bits(v), "{tag} at {v}");
-    }
-    for (s, t) in pairs::sample(g.n(), 300, 0x51AB) {
-        let ta = built.route(s, t);
-        let tb = loaded.route(s, t);
-        assert_eq!(ta.delivered, tb.delivered, "{tag} {s}->{t}");
-        assert_eq!(ta.cost, tb.cost, "{tag} {s}->{t}");
-        assert_eq!(ta.path, tb.path, "{tag} {s}->{t}");
-    }
-}
-
 #[test]
 fn saved_scheme_loads_and_routes_identically() {
     for (fam, k) in [
@@ -70,8 +54,8 @@ fn saved_scheme_loads_and_routes_identically() {
         let resident = Scheme::load(&path.0).expect("load");
         let lazy = Scheme::load_lazy(&path.0).expect("load_lazy");
         let tag = format!("{} k={k}", fam.label());
-        assert_parity(&g, &scheme, &resident, &format!("{tag} resident"));
-        assert_parity(&g, &scheme, &lazy, &format!("{tag} lazy"));
+        assert_same_scheme(&format!("{tag} resident"), &resident, &scheme, 300, 0x51AB);
+        assert_same_scheme(&format!("{tag} lazy"), &lazy, &scheme, 300, 0x51AB);
         assert_eq!(resident.params().k, k);
         assert_eq!(resident.params().seed, 0x54AD);
     }
@@ -90,7 +74,7 @@ fn spilled_build_saves_by_raw_copy_and_loads_identically() {
     let path = TempPath::new();
     spilled.save(&path.0).expect("save");
     let loaded = Scheme::load(&path.0).expect("load");
-    assert_parity(&g, &resident, &loaded, "spilled->snapshot->resident");
+    assert_same_scheme("spilled->snapshot->resident", &loaded, &resident, 300, 0x51AB);
 }
 
 #[test]
@@ -100,7 +84,7 @@ fn snapshot_of_on_demand_build_round_trips() {
     let path = TempPath::new();
     scheme.save(&path.0).expect("save");
     let loaded = Scheme::load(&path.0).expect("load");
-    assert_parity(&g, &scheme, &loaded, "on-demand");
+    assert_same_scheme("on-demand", &loaded, &scheme, 300, 0x51AB);
 }
 
 #[test]

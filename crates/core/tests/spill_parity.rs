@@ -3,8 +3,11 @@
 //! to the all-resident scheme — the wire round-trip preserves the
 //! Lemma 4 machinery bit for bit.
 
+mod common;
+
 use std::path::PathBuf;
 
+use common::assert_same_scheme;
 use graphkit::gen::Family;
 use graphkit::metrics::apsp;
 use graphkit::NodeId;
@@ -41,30 +44,10 @@ fn spilled_scheme_routes_identically() {
             let params = SchemeParams::new(k, 0x5111);
             let resident = Scheme::build_with_matrix(g.clone(), &d, params);
             let spilled = Scheme::build_with_matrix(g.clone(), &d, params.with_spill());
-            assert_eq!(
-                resident.stats().total_members,
-                spilled.stats().total_members,
-                "{} k={k}",
-                fam.label()
-            );
             // Storage accounting never touches the store, so it must
             // be identical however the trees are held.
-            for v in g.nodes() {
-                assert_eq!(
-                    resident.storage_bits(v),
-                    spilled.storage_bits(v),
-                    "{} k={k} at {v}",
-                    fam.label()
-                );
-            }
-            assert_eq!(resident.header_bits_bound(), spilled.header_bits_bound());
-            for (s, t) in pairs::sample(g.n(), 250, 0x5112) {
-                let ta = resident.route(s, t);
-                let tb = spilled.route(s, t);
-                assert_eq!(ta.delivered, tb.delivered, "{} k={k} {s}->{t}", fam.label());
-                assert_eq!(ta.cost, tb.cost, "{} k={k} {s}->{t}", fam.label());
-                assert_eq!(ta.path, tb.path, "{} k={k} {s}->{t}", fam.label());
-            }
+            let label = format!("{} k={k}", fam.label());
+            assert_same_scheme(&label, &spilled, &resident, 250, 0x5112);
         }
     }
 }
@@ -97,14 +80,7 @@ fn spill_composes_with_on_demand_and_per_node_budgets() {
     let base = SchemeParams::new(2, 0x5115).with_s_budget_mode(SBudgetMode::PerNode);
     let resident = Scheme::build_with_matrix(g.clone(), &d, base);
     let spilled_od = Scheme::build_on_demand(g.clone(), base.with_spill());
-    for v in g.nodes() {
-        assert_eq!(resident.storage_bits(v), spilled_od.storage_bits(v), "at {v}");
-    }
-    for (s, t) in pairs::sample(g.n(), 250, 0x5116) {
-        let ta = resident.route(s, t);
-        let tb = spilled_od.route(s, t);
-        assert_eq!((ta.delivered, ta.cost, ta.path), (tb.delivered, tb.cost, tb.path), "{s}->{t}");
-    }
+    assert_same_scheme("on-demand spilled per-node", &spilled_od, &resident, 250, 0x5116);
 }
 
 #[test]
