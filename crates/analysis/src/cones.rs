@@ -8,13 +8,14 @@
 //!
 //! | rule | roots | what fires |
 //! |---|---|---|
-//! | `panic-free-serve` | `route` methods, `serve_batch`, `from_wire`, `Scheme::repair` | `unwrap`/`expect`, panic macros; raw `[..]` indexing in the serve cone only |
+//! | `panic-free-serve` | `route` methods, `serve_batch`, `from_wire`, `Scheme::repair` | `unwrap`/`expect`, panic macros; `assert!`/`assert_eq!`/`assert_ne!` and raw `[..]` indexing in the serve cone only |
 //! | `deterministic-output` | `save`, `to_wire`, `encode_*`, `write_*`, `render_*` | `HashMap`/`HashSet` mention, `.keys()`, `.values()` |
 //! | `no-alloc-in-route` | `route` methods | `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.clone()`, `Box::new`; stops at decode constructors ([`alloc_cold`]) |
 //! | `octave-taint` | (per-fn dataflow, no cone) | `+`/`<<` on a value derived from `octave_radius` |
 //!
 //! The **repair cone** (`Scheme::repair`) deliberately checks only
-//! panics, not raw indexing: repair re-enters the whole construction
+//! panics, not asserts or raw indexing (its asserts are the documented
+//! delta contract): repair re-enters the whole construction
 //! pipeline, whose CSR-arena index arithmetic is bounds-correct by
 //! construction and exercised by every build test — flagging hundreds
 //! of those sites would drown the signal. The **serve cone** (route /
@@ -176,7 +177,7 @@ fn in_spans(spans: &[(usize, usize)], i: usize) -> bool {
 }
 
 /// `panic-free-serve`: unwrap/expect, panic macros, and (serve cone
-/// only) raw indexing.
+/// only) `assert!`/`assert_eq!`/`assert_ne!` and raw indexing.
 fn scan_panic_sites(
     body: &[Tok],
     strict_indexing: bool,
@@ -209,6 +210,16 @@ fn scan_panic_sites(
         {
             Some(format!(
                 "`{}!` in the {cone} cone ({chain}): return an error/fallback outcome instead",
+                t.text
+            ))
+        } else if strict_indexing
+            && t.kind == TokKind::Ident
+            && matches!(t.text.as_str(), "assert" | "assert_eq" | "assert_ne")
+            && nxt(1) == Some("!")
+        {
+            Some(format!(
+                "`{}!` in the serve cone ({chain}): it panics in release builds too; return an \
+                 error/fallback outcome instead (`debug_assert*` is exempt)",
                 t.text
             ))
         } else if strict_indexing

@@ -96,6 +96,49 @@ fn decode_known_good() {
     assert!(fired("mod tests { fn from_wire(b: &[u8]) -> u8 { b[0].min(b[1]) } }").is_empty());
 }
 
+// ---- panic-free-serve (asserts) ----------------------------------------
+
+/// A path inside a serving crate, where `route` methods root the cones.
+const SERVE_FILE: &str = "crates/core/src/a.rs";
+
+#[test]
+fn serve_assert_known_bad() {
+    // An assert in a route fn, or in a helper the route reaches, panics
+    // in release builds too.
+    assert_eq!(
+        fired_at(SERVE_FILE, "impl R { fn route(&self, a: u32, b: u32) { assert!(a < b); } }"),
+        ["panic-free-serve"]
+    );
+    assert_eq!(
+        fired_at(
+            SERVE_FILE,
+            "impl R { fn route(&self, a: u32, b: u32) { step(a, b) } }
+             fn step(a: u32, b: u32) { assert_ne!(a, b, \"no progress\"); }"
+        ),
+        ["panic-free-serve"]
+    );
+    assert_eq!(fired("fn from_wire(b: &[u8]) { assert_eq!(b.len(), 8); }"), ["panic-free-serve"]);
+}
+
+#[test]
+fn serve_assert_known_good() {
+    // debug_assert* compiles out of release builds.
+    assert!(fired_at(
+        SERVE_FILE,
+        "impl R { fn route(&self, a: u32) { debug_assert!(a > 0); debug_assert_eq!(a, 1); \
+         debug_assert_ne!(a, 2); } }"
+    )
+    .is_empty());
+    // The repair cone keeps its asserts: they are the delta contract.
+    assert!(fired_at(
+        SERVE_FILE,
+        "impl S { fn repair(&mut self, d: &[u32]) { assert!(!d.is_empty(), \"empty delta\"); } }"
+    )
+    .is_empty());
+    // Asserts off every cone stay silent.
+    assert!(fired_at(SERVE_FILE, "fn build(a: u32) { assert!(a > 0); }").is_empty());
+}
+
 // ---- deterministic-output ----------------------------------------------
 
 #[test]

@@ -1,15 +1,21 @@
 //! Where completed landmark trees live after the build: an in-memory
 //! table of shared [`ErrorReportingTree`]s indexed by center id, or a
-//! file of length-prefixed wire records read back at route time.
+//! file of wire records read back at route time.
+//!
+//! A tree has one layout: its 64-byte node rows plus its flat arenas
+//! ([`ErrorReportingTree::to_wire`]). A resident tree owns the rows
+//! (64-byte aligned, one cache line per node); a record on disk holds
+//! the same rows as little-endian bytes, and resident loading is a row
+//! copy.
 //!
 //! The spill path exists for constructions whose Õ(n^{1+1/k}) total
 //! tree state exceeds RAM: the fused per-center pipeline serializes
-//! each tree the moment it is finished (the full flat-arena store;
-//! see [`ErrorReportingTree::to_wire`]) and drops it. Routing never
+//! each tree the moment it is finished and drops it. Routing never
 //! decodes a record: a fetch preads it into a per-thread buffer,
-//! validates it in place ([`ErtView::validate`]), and searches the
-//! bytes through an [`ErtView`] — the same search code the resident
-//! trees run, so the two stores route the same paths (asserted by
+//! validates it in place ([`ErtView::validate`], with a permutation
+//! bitset kept beside the buffer), and searches the rows through an
+//! [`ErtView`] — the same search code the resident trees run, so the
+//! two stores route the same paths (asserted by
 //! `tests/spill_parity.rs`). The same record format and the same
 //! reader serve scheme snapshots: [`SpillStore::from_file_index`]
 //! points the store at a snapshot's center-trees section.
@@ -22,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use graphkit::wire;
+use treeroute::labeled::ROW_BYTES;
 use treeroute::laing::{ErrorReportingTree, ErtView};
 
 /// Backing storage for the per-center trees.
@@ -212,13 +219,16 @@ static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// One thread's fetch buffer and the record it holds.
 struct FetchBuf {
     bytes: Vec<u8>,
+    /// Scratch of the record's permutation checks: one bit per node.
+    seen: Vec<u64>,
     /// `(store id, center)` of the validated record at the front of
     /// `bytes`, if any.
     held: Option<(u64, u32)>,
 }
 
 thread_local! {
-    static FETCH: RefCell<FetchBuf> = const { RefCell::new(FetchBuf { bytes: Vec::new(), held: None }) };
+    static FETCH: RefCell<FetchBuf> =
+        const { RefCell::new(FetchBuf { bytes: Vec::new(), seen: Vec::new(), held: None }) };
 }
 
 impl SpillStore {
@@ -261,12 +271,15 @@ impl SpillStore {
                 let buf = &mut *guard;
                 if buf.bytes.len() < self.max_len {
                     buf.bytes.resize(self.max_len, 0);
+                    // A record of `len` bytes has fewer than `len / 64`
+                    // rows, so the bitset never grows past this.
+                    buf.seen.reserve(self.max_len / ROW_BYTES / 64 + 1);
                 }
                 if buf.held != key {
                     buf.held = None;
                     let rec = buf.bytes.get_mut(..len)?;
                     self.file.read_exact_at(rec, off).ok()?;
-                    ErtView::new(rec).and_then(|v| v.validate()).ok()?;
+                    ErtView::new(rec).and_then(|v| v.validate(&mut buf.seen)).ok()?;
                     buf.held = key;
                 }
                 let view = ErtView::new(buf.bytes.get(..len)?).ok()?;

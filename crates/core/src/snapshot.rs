@@ -14,10 +14,12 @@
 //! | `LANDMARK_BITS` | per-node landmark storage accounting |
 //! | `CENTER_DIR` | center id → extent into `CENTER_TREES` |
 //! | `CENTER_TREES` | concatenated Lemma-4 tree records |
-//! | `SCALE_COVERS` | per dense scale: home map + Lemma-7 stores |
+//! | `SCALE_COVERS` | per dense scale: home map + Lemma-7 trees |
 //!
-//! Loading is a decode pass into the same stores routing uses — no
-//! Dijkstras, no tree construction, no hashing re-derivation — so a
+//! A tree record is the tree's 64-byte node rows plus its flat arenas
+//! — the layout the tree has in memory (format version 3) — so loading
+//! is validation plus a row copy into the same trees routing uses — no
+//! Dijkstras, no tree construction, no hashing re-derivation — and a
 //! scheme saved by one process and loaded by another routes
 //! bit-identically (asserted by `tests/snapshot_parity.rs`).
 //!
@@ -39,7 +41,7 @@ use decomposition::Decomposition;
 use graphkit::wire::{self, Reader, SnapshotReader, SnapshotWriter, Writer};
 use graphkit::Graph;
 use landmarks::LandmarkHierarchy;
-use treeroute::cover_router::{CoverStore, CoverTreeRouter};
+use treeroute::cover_router::CoverTreeRouter;
 use treeroute::laing::ErrorReportingTree;
 
 use crate::center_store::{CenterStore, SpillStore};
@@ -117,7 +119,7 @@ impl Scheme {
             w.slice_u32(&sc.home);
             w.len(sc.routers.len());
             for entry in &sc.routers {
-                entry.router.store().to_wire(&mut w);
+                entry.router.to_wire(&mut w);
             }
         }
         sw.section(SEC_SCALE_COVERS, &w.into_bytes())?;
@@ -458,10 +460,7 @@ fn decode_scale_covers(r: &mut Reader<'_>, n: usize) -> io::Result<Vec<ScaleCove
         }
         let routers = r.len()?;
         let routers = (0..routers)
-            .map(|_| {
-                let store = CoverStore::from_wire(r)?;
-                Ok(CoverEntry::from_router(CoverTreeRouter::from_store(store)))
-            })
+            .map(|_| Ok(CoverEntry::from_router(CoverTreeRouter::from_wire(r)?)))
             .collect::<io::Result<Vec<CoverEntry>>>()?;
         if home.iter().any(|&h| h != u32::MAX && h as usize >= routers.len()) {
             return Err(wire::invalid("cover home map points past its routers"));

@@ -168,13 +168,11 @@ fn center_records(path: &std::path::Path) -> Vec<(u32, usize, usize)> {
 }
 
 /// `(length-prefix offset, payload offset, words, word width)` of each
-/// of a center-tree record's 17 arrays, in wire order: hash
-/// coefficients; tree ids, parents, weights; dfs_in, dfs_out,
-/// light_depth, heavy, light_off, light hops, dfs_order; node_of_rank,
-/// rank_of, name-child offsets and entries, hash-directory offsets and
-/// entries.
+/// of a center-tree record's 5 arrays, in wire order: hash
+/// coefficients; the 64-byte node rows; the light-hop arena; the
+/// name-child and hash-directory arenas.
 fn record_arrays(rec: &[u8]) -> Vec<(usize, usize, usize, usize)> {
-    const WIDTHS: [usize; 17] = [8, 4, 4, 8, 4, 4, 4, 4, 4, 8, 4, 4, 4, 4, 8, 4, 8];
+    const WIDTHS: [usize; 5] = [8, 64, 8, 8, 8];
     let mut at = 17; // k, sigma, hash-verified flag
     WIDTHS
         .iter()
@@ -187,12 +185,17 @@ fn record_arrays(rec: &[u8]) -> Vec<(usize, usize, usize, usize)> {
         .collect()
 }
 
+/// Byte offsets, within a node row, of its parent, dfs_in, dfs_out,
+/// heavy child, label offset, and name-child and hash-directory row
+/// bounds (`NodeRec::to_le_bytes`: a u64 weight, then u32 fields).
+const ROW_FIELDS: [usize; 9] = [12, 16, 20, 32, 40, 44, 48, 52, 56];
+
 /// Is this record rejected by the full decoder, and by the in-place
 /// view's checks?
 fn rejections(rec: &[u8]) -> (bool, bool) {
     use treeroute::laing::{ErrorReportingTree, ErtView};
     let decoded = ErrorReportingTree::from_wire(&mut graphkit::wire::Reader::new(rec));
-    let viewed = ErtView::new(rec).and_then(|v| v.validate());
+    let viewed = ErtView::new(rec).and_then(|v| v.validate(&mut Vec::new()));
     (decoded.is_err(), viewed.is_err())
 }
 
@@ -200,7 +203,8 @@ fn rejections(rec: &[u8]) -> (bool, bool) {
 fn corrupt_lazy_records_degrade_instead_of_panicking() {
     // load_lazy skips the center-trees checksum, so the per-record
     // check on fetch is the only guard. Flip bytes in the length
-    // prefixes, parents, DFS arrays and CSR offsets of records inside
+    // prefixes, and in the parents, DFS intervals, heavy children,
+    // label offsets and directory rows of node rows, of records inside
     // a lazily loaded snapshot: every route must still return.
     let g = Family::Geometric.generate(80, 0x54B3);
     let d = apsp(&g);
@@ -247,12 +251,11 @@ fn corrupt_lazy_records_degrade_instead_of_panicking() {
         for &(prefix, _, _, _) in &arrays {
             targets.extend([(prefix, 0x01), (prefix + 7, 0x80)]);
         }
-        // parents, dfs_in, dfs_out, heavy, light_off, dfs_order,
-        // name-child offsets, hash-directory offsets.
-        for a in [2, 4, 5, 7, 8, 10, 13, 15] {
-            let (_, payload, n, w) = arrays[a];
-            for word in [1, n / 2, n - 1] {
-                targets.extend([(payload + word * w, 0x01), (payload + word * w + w - 1, 0x80)]);
+        let (_, rows, m, w) = arrays[1];
+        for row in [1, m / 2, m - 1] {
+            for field in ROW_FIELDS {
+                let at = rows + row * w + field;
+                targets.extend([(at, 0x01), (at + 3, 0x80)]);
             }
         }
         for (at, mask) in targets {
@@ -359,19 +362,23 @@ fn corrupt_plan_source_indices_miss_instead_of_misrouting() {
 
 #[test]
 fn version_1_snapshots_are_rejected() {
-    // Version 2 added the plans' source-index column; an older file
-    // must fail to open rather than be misparsed.
+    // Version 2 added the plans' source-index column and version 3
+    // wrote tree records as their 64-byte node rows; an older file must
+    // fail to open rather than be misparsed.
     let g = Family::Geometric.generate(60, 0x54B7);
     let d = apsp(&g);
     let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B7));
     let path = TempPath::new();
     scheme.save(&path.0).expect("save");
     let mut bytes = std::fs::read(&path.0).expect("read back");
+    assert_eq!(bytes[8..12], 3u32.to_le_bytes());
     assert_eq!(bytes[8..12], graphkit::wire::SNAPSHOT_VERSION.to_le_bytes());
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&path.0, &bytes).expect("write v1");
-    assert!(Scheme::load(&path.0).is_err(), "resident load of a version-1 snapshot");
-    assert!(Scheme::load_lazy(&path.0).is_err(), "lazy load of a version-1 snapshot");
+    for old in [1u32, 2] {
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&path.0, &bytes).expect("write old version");
+        assert!(Scheme::load(&path.0).is_err(), "resident load of a version-{old} snapshot");
+        assert!(Scheme::load_lazy(&path.0).is_err(), "lazy load of a version-{old} snapshot");
+    }
 }
 
 proptest! {

@@ -193,34 +193,29 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes).map_err(|_| invalid("non-UTF-8 string"))
     }
 
-    /// Read a length-prefixed array of `width`-byte words as one
-    /// bounds check: the `n × width` payload is taken whole, then split
-    /// into fixed-size words.
-    fn words<const W: usize>(&mut self) -> io::Result<&'a [[u8; W]]> {
+    /// Borrow a length-prefixed array of `W`-byte words (fixed-size
+    /// rows, for records of packed structs) in place, with one bounds
+    /// check: the `n × W` payload is taken whole, then split into words.
+    pub fn array<const W: usize>(&mut self) -> io::Result<&'a [[u8; W]]> {
         let n = self.len()?;
         let bytes = self.take(n.checked_mul(W).ok_or_else(truncated)?)?;
         Ok(bytes.as_chunks::<W>().0)
     }
 
-    /// Borrow a length-prefixed `u32` slice in place, without decoding.
-    pub fn u32_view(&mut self) -> io::Result<U32View<'a>> {
-        self.words().map(U32View)
-    }
-
     /// Borrow a length-prefixed `u64` slice in place, without decoding.
     pub fn u64_view(&mut self) -> io::Result<U64View<'a>> {
-        self.words().map(U64View)
+        self.array().map(U64View)
     }
 
     /// Borrow a length-prefixed `(u32, u32)` pair slice in place,
     /// without decoding.
     pub fn pair_view(&mut self) -> io::Result<PairView<'a>> {
-        self.words().map(PairView)
+        self.array().map(PairView)
     }
 
     /// Read a length-prefixed `u32` slice.
     pub fn slice_u32(&mut self) -> io::Result<Vec<u32>> {
-        Ok(self.u32_view()?.iter().collect())
+        Ok(self.array()?.iter().map(|b| u32::from_le_bytes(*b)).collect())
     }
 
     /// Read a length-prefixed `u64` slice.
@@ -244,38 +239,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A little-endian `u32` array read in place from a record (see
-/// [`Reader::u32_view`]). Every read is a checked `get`: an index past
+/// A little-endian `u64` array read in place from a record (see
+/// [`Reader::u64_view`]). Every read is a checked `get`: an index past
 /// the end is `None`, never a panic.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct U32View<'a>(&'a [[u8; 4]]);
-
-impl<'a> U32View<'a> {
-    /// Number of words.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if the array has no words.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Word `i`, if in range.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<u32> {
-        self.0.get(i).map(|b| u32::from_le_bytes(*b))
-    }
-
-    /// The words in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
-        self.0.iter().map(|b| u32::from_le_bytes(*b))
-    }
-}
-
-/// A little-endian `u64` array read in place (see [`Reader::u64_view`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct U64View<'a>(&'a [[u8; 8]]);
 
@@ -433,7 +399,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AGMSNAP\0";
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject unknown versions instead of misparsing.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Header: magic (8) + version (4) + section-table offset (8).
 const HEADER_LEN: u64 = 20;
@@ -683,26 +649,25 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         let (a, b, c, d) = (
-            r.u32_view().unwrap(),
+            r.array::<4>().unwrap(),
             r.u64_view().unwrap(),
             r.pair_view().unwrap(),
-            r.u32_view().unwrap(),
+            r.array::<4>().unwrap(),
         );
         assert!(r.is_empty());
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![7, u32::MAX, 0]);
-        assert_eq!((a.len(), a.get(1), a.get(3)), (3, Some(u32::MAX), None));
+        assert_eq!(a, [7u32, u32::MAX, 0].map(u32::to_le_bytes));
         assert_eq!((b.get(0), b.get(2)), (Some(u64::MAX), None));
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![(1, 2), (u32::MAX, 5)]);
         assert_eq!(c.range(1, 2).map(|v| v.get(0)), Some(Some((u32::MAX, 5))));
         assert!(c.range(1, 3).is_none() && c.range(2, 1).is_none());
-        assert!(d.is_empty() && d.get(0).is_none());
+        assert!(d.is_empty());
         // A payload one byte short of its length prefix is the same
         // truncation error the bulk decoders report.
         for cut in 1..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
             let whole = r.slice_u32().and_then(|_| r.slice_u64()).and_then(|_| r.slice_pairs());
             let mut r = Reader::new(&bytes[..cut]);
-            let view = r.u32_view().and_then(|_| r.u64_view()).and_then(|_| r.pair_view());
+            let view = r.array::<4>().and_then(|_| r.u64_view()).and_then(|_| r.pair_view());
             assert_eq!(whole.is_err(), view.is_err(), "cut={cut}");
             if let Err(e) = whole {
                 assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut={cut}");

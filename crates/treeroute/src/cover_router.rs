@@ -27,7 +27,7 @@ use graphkit::{Cost, NodeId, Tree, TreeIx};
 use std::io;
 
 use crate::hashing::PolyHash;
-use crate::labeled::{route_into, LabeledRead, LabeledStore, LabeledTree};
+use crate::labeled::{edge_weight_of, route_into, LabeledRead, LabeledTree};
 
 /// Outcome of a cover-tree lookup.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,7 +64,7 @@ impl CoverOutcome {
 
 /// One level of a sibling-group guide: sampled boundaries over the DFS
 /// range `[start, end)` this guide is responsible for. Build-time
-/// scratch only — the frozen form lives in [`CoverStore`]'s arenas.
+/// scratch only — the frozen form lives in [`CoverTreeRouter`]'s arenas.
 #[derive(Clone, Debug)]
 struct Guide {
     start: u32,
@@ -74,7 +74,7 @@ struct Guide {
 
 /// Per-node build scratch of the Lemma 7 scheme (beyond `µ(T,u)`):
 /// the allocation-per-node form the guide recursion naturally produces,
-/// flattened into [`CoverStore`] CSR arenas before routing.
+/// flattened into [`CoverTreeRouter`] CSR arenas before routing.
 #[derive(Clone, Debug, Default)]
 struct CoverNode {
     /// Sampled `(dfs_start, child)` boundaries over this node's children
@@ -89,12 +89,13 @@ struct CoverNode {
     bucket: Vec<(u32, TreeIx)>,
 }
 
-/// The plain-old-data half of a [`CoverTreeRouter`]: labeled store plus
-/// every Lemma-7 table in CSR arenas (child guides, sibling guides with
-/// a per-guide entry arena, directory buckets). Snapshot-serializable
-/// and routable as-is — loading performs no guide or bucket rebuild.
+/// A tree equipped with the Lemma 7 name-independent scheme: the
+/// labeled tree plus every Lemma-7 table in CSR arenas (child guides,
+/// sibling guides with a per-guide entry arena, directory buckets).
+/// [`CoverTreeRouter::new`] builds the tables; a snapshot stores them
+/// verbatim, so loading performs no guide or bucket rebuild.
 #[derive(Clone, Debug)]
-pub struct CoverStore {
+pub struct CoverTreeRouter {
     labeled: LabeledTree,
     hash: PolyHash,
     /// Guide fanout s = σ·⌈log m⌉.
@@ -116,15 +117,17 @@ pub struct CoverStore {
     bk: Vec<(u32, TreeIx)>,
 }
 
-impl CoverStore {
-    fn from_nodes(
-        labeled: LabeledTree,
-        hash: PolyHash,
-        fanout: usize,
-        max_guide_depth: u32,
-        nodes: Vec<CoverNode>,
-    ) -> Self {
-        let m = nodes.len();
+impl CoverTreeRouter {
+    /// Build with fanout `s = max(2, σ·⌈log₂ m⌉)`.
+    pub fn new(tree: Tree, sigma: u64, seed: u64) -> Self {
+        let m = tree.size();
+        let fanout = ((sigma as usize) * (ceil_log2(m.max(2) as u64) as usize).max(1)).max(2);
+        let labeled = LabeledTree::new(tree);
+        let hash = PolyHash::new(PolyHash::degree_for(m), seed);
+        let mut b = CoverBuild { labeled, nodes: vec![CoverNode::default(); m], fanout };
+        let max_guide_depth = b.build_guides();
+        b.build_buckets(&hash);
+        // Flatten the per-node scratch into the CSR arenas.
         let mut cg_off = vec![0u32; m + 1];
         let mut sg_off = vec![0u32; m + 1];
         let mut bk_off = vec![0u32; m + 1];
@@ -133,7 +136,7 @@ impl CoverStore {
         let mut sge_off = vec![0u32];
         let mut sge = Vec::new();
         let mut bk = Vec::new();
-        for (t, node) in nodes.into_iter().enumerate() {
+        for (t, node) in b.nodes.into_iter().enumerate() {
             cg.extend_from_slice(&node.child_guide);
             cg_off[t + 1] = cg.len() as u32;
             for g in node.sibling_guides {
@@ -145,8 +148,8 @@ impl CoverStore {
             bk.extend_from_slice(&node.bucket);
             bk_off[t + 1] = bk.len() as u32;
         }
-        CoverStore {
-            labeled,
+        CoverTreeRouter {
+            labeled: b.labeled,
             hash,
             fanout,
             max_guide_depth,
@@ -181,12 +184,14 @@ impl CoverStore {
         &self.bk[self.bk_off[t as usize] as usize..self.bk_off[t as usize + 1] as usize]
     }
 
-    /// Serialize every arena verbatim.
+    /// Serialize the router as its record: the header (fanout, guide
+    /// depth, hash coefficients), the labeled record
+    /// ([`LabeledTree::to_wire`]), then every CSR arena verbatim.
     pub fn to_wire(&self, w: &mut Writer) {
         w.u64(self.fanout as u64);
         w.u32(self.max_guide_depth);
         w.slice_u64(self.hash.coeffs());
-        self.labeled.store().to_wire(w);
+        self.labeled.to_wire(w);
         w.slice_u32(&self.cg_off);
         w.slice_pairs(&self.cg);
         w.slice_u32(&self.sg_off);
@@ -197,18 +202,17 @@ impl CoverStore {
         w.slice_pairs(&self.bk);
     }
 
-    /// Inverse of [`CoverStore::to_wire`] with CSR invariant checks.
+    /// Inverse of [`CoverTreeRouter::to_wire`] with CSR invariant checks.
     // lint:allow-fn(panic-free-serve): validate-then-index — CSR invariants are checked before the indexing passes below
     pub fn from_wire(r: &mut Reader) -> io::Result<Self> {
         use wire::invalid;
         let fanout = r.u64()? as usize;
         let max_guide_depth = r.u32()?;
-        let coeffs = r.slice_u64()?;
-        if fanout < 2 || coeffs.is_empty() {
+        let hash = PolyHash::try_from_coeffs(r.slice_u64()?);
+        let Some(hash) = hash.filter(|_| fanout >= 2) else {
             return Err(invalid("bad cover-store record header"));
-        }
-        let hash = PolyHash::from_coeffs(coeffs);
-        let labeled = LabeledTree::from_store(LabeledStore::from_wire(r)?);
+        };
+        let labeled = LabeledTree::from_wire(r)?;
         let m = labeled.size();
         let cg_off = r.slice_u32()?;
         let cg = r.slice_pairs()?;
@@ -235,7 +239,7 @@ impl CoverStore {
         if cg.iter().chain(&sge).chain(&bk).any(|&(_, ix)| ix as usize >= m) {
             return Err(invalid("cover store entry out of range"));
         }
-        Ok(CoverStore {
+        Ok(CoverTreeRouter {
             labeled,
             hash,
             fanout,
@@ -250,75 +254,39 @@ impl CoverStore {
             bk,
         })
     }
-}
-
-/// A tree equipped with the Lemma 7 name-independent scheme: the thin
-/// read-path half over a [`CoverStore`]. [`CoverTreeRouter::new`]
-/// builds the store from scratch; [`CoverTreeRouter::from_store`] wraps
-/// a deserialized one with zero rebuild.
-#[derive(Clone, Debug)]
-pub struct CoverTreeRouter {
-    store: CoverStore,
-}
-
-impl CoverTreeRouter {
-    /// Build with fanout `s = max(2, σ·⌈log₂ m⌉)`.
-    pub fn new(tree: Tree, sigma: u64, seed: u64) -> Self {
-        let m = tree.size();
-        let fanout = ((sigma as usize) * (ceil_log2(m.max(2) as u64) as usize).max(1)).max(2);
-        let labeled = LabeledTree::new(tree);
-        let hash = PolyHash::new(PolyHash::degree_for(m), seed);
-        let mut b = CoverBuild { labeled, nodes: vec![CoverNode::default(); m], fanout };
-        let max_guide_depth = b.build_guides();
-        b.build_buckets(&hash);
-        CoverTreeRouter {
-            store: CoverStore::from_nodes(b.labeled, hash, fanout, max_guide_depth, b.nodes),
-        }
-    }
-
-    /// Wrap an already-built (typically snapshot-loaded) store.
-    pub fn from_store(store: CoverStore) -> Self {
-        CoverTreeRouter { store }
-    }
-
-    /// The plain-old-data half (for serialization).
-    pub fn store(&self) -> &CoverStore {
-        &self.store
-    }
-
-    /// DFS position responsible for a network id.
-    fn position_of(&self, target: NodeId) -> u32 {
-        (self.store.hash.eval(target.0 as u64) % self.store.labeled.size() as u64) as u32
-    }
 
     /// The underlying labeled scheme (and physical tree).
     pub fn labeled(&self) -> &LabeledTree {
-        &self.store.labeled
+        &self.labeled
     }
 
     /// Guide fanout s.
     pub fn fanout(&self) -> usize {
-        self.store.fanout
+        self.fanout
     }
 
     /// Deepest guide B-tree in this instance (1 = no grouping anywhere).
     pub fn max_guide_depth(&self) -> u32 {
-        self.store.max_guide_depth
+        self.max_guide_depth
     }
 
     /// Lemma 7 cost budget for this tree: `4·rad(T) + 2k·maxE(T)` where
     /// `k` is the worst guide depth (≤ ⌈log_s(max degree)⌉).
     pub fn cost_budget(&self) -> Cost {
-        let t = self.store.labeled.to_tree();
-        4 * t.radius() + 2 * self.store.max_guide_depth.max(1) as u64 * t.max_edge()
+        let t = self.labeled.to_tree();
+        4 * t.radius() + 2 * self.max_guide_depth.max(1) as u64 * t.max_edge()
     }
 
     /// Route from tree node `from` toward the network id `target`,
     /// using only per-node storage plus an O(log² n) header (the target
     /// id, the source label, and — once learned — the target label).
-    /// Returns the outcome and the full node path walked.
+    /// Returns the outcome and the full node path walked. Corrupt
+    /// tables (a guide that makes no progress, a step between
+    /// non-adjacent nodes, a bucket entry that does not host the
+    /// target) end the lookup as a miss, never a panic or a delivery
+    /// to the wrong node.
     pub fn route(&self, from: TreeIx, target: NodeId) -> (CoverOutcome, Vec<TreeIx>) {
-        let labeled = &self.store.labeled;
+        let labeled = &self.labeled;
         let mut cost: Cost = 0;
         // lint:allow(no-alloc-in-route): the returned walk owns its path; one Vec per route is the API
         let mut path = vec![from];
@@ -333,14 +301,15 @@ impl CoverTreeRouter {
         }
         // Phase 1: climb to the root.
         while let Some(p) = labeled.parent_of(at) {
-            cost += labeled.parent_weight_of(at);
+            cost = cost.saturating_add(labeled.parent_weight_of(at));
             at = p;
             path.push(at);
         }
         // Phase 2: descend to the directory position. A node outside
         // the records means a corrupt guide arena: report a miss from
         // where we stand rather than panicking the server.
-        let pos = self.position_of(target);
+        // The DFS position responsible for the target id.
+        let pos = (self.hash.eval(target.0 as u64) % labeled.size() as u64) as u32;
         let covers =
             |t: TreeIx| labeled.local_at(t).is_some_and(|l| pos >= l.dfs_in && pos < l.dfs_out);
         loop {
@@ -352,43 +321,56 @@ impl CoverTreeRouter {
             }
             debug_assert!(pos > me.dfs_in && pos < me.dfs_out, "descent left the interval");
             // Pick from my child guide the last boundary ≤ pos.
-            let Some(mut next) = guide_pick(self.store.child_guide(at), pos) else {
+            let Some(mut next) = guide_pick(self.child_guide(at), pos) else {
                 return (CoverOutcome::NotFound { cost }, path);
             };
-            cost += edge_w(labeled, at, next);
+            let Some(w) = edge_weight_of(labeled, at, next) else {
+                return (CoverOutcome::NotFound { cost }, path);
+            };
+            cost = cost.saturating_add(w);
             let parent = at;
             path.push(next);
             // Sibling corrections while pos is not inside `next`'s subtree:
             // consult the *tightest* guide at `next` covering pos. A group
             // leader also leads its own sub-groups, so the tightest guide
             // never returns `next` itself — each correction strictly
-            // descends one guide level.
+            // descends one guide level, at most `max_guide_depth` times.
+            // Corrupt sibling guides (no covering guide, no progress, a
+            // non-edge, too many corrections) degrade like a missing
+            // child guide.
             let mut guard = 0;
             while !covers(next) {
-                let Some(cand) = self
-                    .store
+                let cand = self
                     .sibling_guides(next)
                     .filter(|&(start, end, _)| start <= pos && pos < end)
                     .min_by_key(|&(start, end, _)| end - start)
-                    .and_then(|(_, _, entries)| guide_pick(entries, pos))
+                    .and_then(|(_, _, entries)| guide_pick(entries, pos));
+                let Some(cand) = cand.filter(|&c| c != next && guard <= self.max_guide_depth)
                 else {
-                    // Uncovered position = corrupt sibling guides;
-                    // same degradation as a missing child guide.
                     return (CoverOutcome::NotFound { cost }, path);
                 };
-                assert_ne!(cand, next, "sibling guide made no progress");
                 // Correction: next -> parent -> cand (2 edges).
-                cost += edge_w(labeled, next, parent) + edge_w(labeled, parent, cand);
+                let (Some(up), Some(down)) =
+                    (edge_weight_of(labeled, next, parent), edge_weight_of(labeled, parent, cand))
+                else {
+                    return (CoverOutcome::NotFound { cost }, path);
+                };
+                cost = cost.saturating_add(up).saturating_add(down);
                 path.push(parent);
                 path.push(cand);
                 next = cand;
                 guard += 1;
-                assert!(guard <= self.store.max_guide_depth + 1, "guide descent diverged");
             }
             at = next;
         }
-        // Phase 3: directory lookup.
-        let hit = self.store.bucket(at).iter().find(|(gid, _)| *gid == target.0).map(|&(_, ix)| ix);
+        // Phase 3: directory lookup. A bucket entry that does not host
+        // the target is a corrupt directory: a miss, like an unknown name.
+        let hit = self
+            .bucket(at)
+            .iter()
+            .find(|(gid, _)| *gid == target.0)
+            .map(|&(_, ix)| ix)
+            .filter(|&ix| labeled.host_of(ix) == Some(target));
         // A bucket entry (or source header) whose label no longer
         // routes is a corrupt directory; every arm below degrades to a
         // miss instead of panicking.
@@ -397,7 +379,7 @@ impl CoverTreeRouter {
                 labeled.label_of(ix).and_then(|label| route_into(labeled, at, label, &mut path));
             return match walk {
                 Some((delivered_at, c)) => {
-                    cost += c;
+                    cost = cost.saturating_add(c);
                     (CoverOutcome::Found { cost, delivered_at }, path)
                 }
                 None => (CoverOutcome::NotFound { cost }, path),
@@ -406,7 +388,7 @@ impl CoverTreeRouter {
         // Unknown name: report failure back to the source using the
         // header's source label.
         if let Some((_, c)) = route_into(labeled, at, source_label, &mut path) {
-            cost += c;
+            cost = cost.saturating_add(c);
         }
         (CoverOutcome::NotFound { cost }, path)
     }
@@ -414,14 +396,14 @@ impl CoverTreeRouter {
     /// Storage bits of tree node `t` under this scheme (φ(T,t) in the
     /// paper's notation).
     pub fn node_bits(&self, t: TreeIx) -> u64 {
-        let labeled = &self.store.labeled;
+        let labeled = &self.labeled;
         let b = bits_for_node(labeled.size());
-        let mut bits = labeled.local_bits(t) + self.store.hash.storage_bits();
-        bits += self.store.child_guide(t).len() as u64 * 2 * b;
-        for (_, _, entries) in self.store.sibling_guides(t) {
+        let mut bits = labeled.local_bits(t) + self.hash.storage_bits();
+        bits += self.child_guide(t).len() as u64 * 2 * b;
+        for (_, _, entries) in self.sibling_guides(t) {
             bits += 2 * b + entries.len() as u64 * 2 * b;
         }
-        for &(_, ix) in self.store.bucket(t) {
+        for &(_, ix) in self.bucket(t) {
             bits += b + labeled.label_bits(ix);
         }
         // The header-resident source label is storage at the source too.
@@ -430,7 +412,7 @@ impl CoverTreeRouter {
 
     /// Largest directory bucket (w.h.p. O(log m / log log m)).
     pub fn max_bucket(&self) -> usize {
-        self.store.bk_off.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
+        self.bk_off.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
     }
 }
 
@@ -445,7 +427,7 @@ struct CoverBuild {
 impl CoverBuild {
     /// Assign all guide tables; returns the worst B-tree depth.
     fn build_guides(&mut self) -> u32 {
-        let order = self.labeled.store().dfs_order();
+        let order = self.labeled.order_by(|r| r.dfs_in);
         let mut max_guide_depth = 0;
         let mut kids: Vec<TreeIx> = Vec::new();
         for x in 0..self.labeled.size() as u32 {
@@ -509,7 +491,7 @@ impl CoverBuild {
 
     fn build_buckets(&mut self, hash: &PolyHash) {
         let m = self.labeled.size();
-        let order = self.labeled.store().dfs_order();
+        let order = self.labeled.order_by(|r| r.dfs_in);
         for t in 0..m as u32 {
             let gid = self.labeled.graph_id(t).0;
             let pos = (hash.eval(gid as u64) % m as u64) as usize;
@@ -530,19 +512,9 @@ fn guide_pick(guide: &[(u32, TreeIx)], pos: u32) -> Option<TreeIx> {
     i.checked_sub(1).and_then(|j| guide.get(j)).map(|&(_, t)| t)
 }
 
-/// Weight of the tree edge between adjacent nodes.
-fn edge_w(lt: &LabeledTree, a: TreeIx, b: TreeIx) -> Cost {
-    if lt.parent_of(a) == Some(b) {
-        lt.parent_weight_of(a)
-    } else {
-        debug_assert_eq!(lt.parent_of(b), Some(a));
-        lt.parent_weight_of(b)
-    }
-}
-
 impl StorageCost for CoverTreeRouter {
     fn storage_bits(&self) -> u64 {
-        (0..self.store.labeled.size() as u32).map(|t| self.node_bits(t)).sum()
+        (0..self.labeled.size() as u32).map(|t| self.node_bits(t)).sum()
     }
 }
 
@@ -645,7 +617,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(53);
         let g = gen::random_tree(120, WeightDist::Unit, &mut rng);
         let r = CoverTreeRouter::new(spanning_tree(&g, NodeId(0)), 3, 6);
-        assert_eq!(r.store().bk.len(), 120);
+        assert_eq!(r.bk.len(), 120);
         // Max load stays logarithmic-ish.
         assert!(r.max_bucket() <= 16, "bucket load {}", r.max_bucket());
     }
@@ -656,10 +628,9 @@ mod tests {
         let g = gen::star(151, 4);
         let r = CoverTreeRouter::new(spanning_tree(&g, NodeId(0)), 2, 3);
         let mut w = Writer::new();
-        r.store().to_wire(&mut w);
+        r.to_wire(&mut w);
         let bytes = w.into_bytes();
-        let r2 =
-            CoverTreeRouter::from_store(CoverStore::from_wire(&mut Reader::new(&bytes)).unwrap());
+        let r2 = CoverTreeRouter::from_wire(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(r2.fanout(), r.fanout());
         assert_eq!(r2.max_guide_depth(), r.max_guide_depth());
         assert_eq!(r2.max_bucket(), r.max_bucket());
@@ -674,7 +645,69 @@ mod tests {
         }
         // Truncations error rather than panic.
         for cut in [0, 5, bytes.len() / 3, bytes.len() - 1] {
-            assert!(CoverStore::from_wire(&mut Reader::new(&bytes[..cut])).is_err());
+            assert!(CoverTreeRouter::from_wire(&mut Reader::new(&bytes[..cut])).is_err());
+        }
+    }
+
+    #[test]
+    fn rewritten_sibling_guides_never_panic_or_misdeliver() {
+        // The star forces grouped sibling guides. Rewrite one guide entry
+        // (its boundary or its tree index) at a time; every router the
+        // decoder accepts must answer every lookup with a miss or a
+        // delivery at the target's host — in debug and release builds.
+        let g = gen::star(151, 4);
+        let r = CoverTreeRouter::new(spanning_tree(&g, NodeId(0)), 2, 3);
+        let m = r.labeled().size() as u32;
+        assert!(!r.sge.is_empty(), "the star must have sibling guides");
+        let mut accepted = 0;
+        for i in 0..r.sge.len() {
+            let (b, ix) = r.sge[i];
+            let rewrites = [0, 1, ix.wrapping_sub(1), ix + 1, ix ^ 16, m - 1]
+                .map(|v| (b, v))
+                .into_iter()
+                .chain([0, b.wrapping_sub(1), b + 1, u32::MAX].map(|v| (v, ix)))
+                .filter(|&e| e != (b, ix));
+            for entry in rewrites {
+                let mut bad = r.clone();
+                bad.sge[i] = entry;
+                let mut w = Writer::new();
+                bad.to_wire(&mut w);
+                let Ok(bad) = CoverTreeRouter::from_wire(&mut Reader::new(&w.into_bytes())) else {
+                    continue;
+                };
+                accepted += 1;
+                for from in [0, 1, 75, 150] {
+                    for t in (0..m).chain([m + 7]) {
+                        if let (CoverOutcome::Found { delivered_at, .. }, _) =
+                            bad.route(from, NodeId(t))
+                        {
+                            assert_eq!(
+                                bad.labeled().host_of(delivered_at),
+                                Some(NodeId(t)),
+                                "sge[{i}] = {entry:?}: {from} -> {t}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0, "some rewrites must pass the decoder");
+    }
+
+    #[test]
+    fn hash_coefficient_outside_the_field_is_rejected() {
+        // Record header: fanout (u64), guide depth (u32), then the
+        // length-prefixed coefficients — the first one at byte 20.
+        let mut rng = SmallRng::seed_from_u64(55);
+        let g = gen::random_tree(30, WeightDist::Unit, &mut rng);
+        let r = CoverTreeRouter::new(spanning_tree(&g, NodeId(0)), 3, 9);
+        let mut w = Writer::new();
+        r.to_wire(&mut w);
+        let mut bytes = w.into_bytes();
+        assert!(CoverTreeRouter::from_wire(&mut Reader::new(&bytes)).is_ok());
+        for bad in [u64::MAX, crate::hashing::FIELD_P] {
+            bytes[20..28].copy_from_slice(&bad.to_le_bytes());
+            assert!(CoverTreeRouter::from_wire(&mut Reader::new(&bytes)).is_err(), "{bad}");
         }
     }
 

@@ -73,11 +73,10 @@ impl PolyHash {
         &self.coeffs
     }
 
-    /// Rebuild from a serialized coefficient vector.
-    pub fn from_coeffs(coeffs: Vec<u64>) -> Self {
-        assert!(!coeffs.is_empty(), "polynomial needs at least one coefficient");
-        assert!(coeffs.iter().all(|&c| c < FIELD_P), "coefficient outside GF(p)");
-        PolyHash { coeffs }
+    /// Rebuild from a serialized coefficient vector: `None` unless it
+    /// holds at least one coefficient and every one lies in GF(p).
+    pub fn try_from_coeffs(coeffs: Vec<u64>) -> Option<Self> {
+        (!coeffs.is_empty() && coeffs.iter().all(|&c| c < FIELD_P)).then_some(PolyHash { coeffs })
     }
 
     /// Bits to store the hash description (the coefficient vector) —

@@ -17,10 +17,22 @@
 //! `O(k log m)`; our point on the frontier has strictly smaller storage
 //! (`O(log m)`) and `O(log² m)` labels, which keeps every storage bound
 //! downstream within Theorem 1's `O(k² n^{1/k} log³ n)` (see DESIGN.md).
+//!
+//! ## One layout
+//!
+//! A tree is one 64-byte [`NodeRec`] row per node plus one shared
+//! label-hop arena, in memory and on the wire alike: a record is the
+//! node count, the rows as [`NodeRec::to_le_bytes`] writes them, and the
+//! length-prefixed hop arena. [`LabeledTree`] owns decoded rows;
+//! [`LabeledView`] reads the same rows in place from record bytes. Both
+//! implement [`LabeledRead`] — a row accessor and a hop accessor — and
+//! every per-field read is a provided method over those two, so the
+//! routing code and the field logic exist once.
 
 use graphkit::bits::{bits_for_node, StorageCost};
-use graphkit::wire::{self, PairView, Reader, U32View, U64View, Writer};
+use graphkit::wire::{self, PairView, Reader, Writer};
 use graphkit::{Cost, NodeId, Tree, TreeIx, Weight};
+use std::borrow::Borrow;
 use std::io;
 
 /// One light edge on the root→v path: the light child entered, plus its
@@ -90,29 +102,94 @@ impl LabelRead for LabelRef<'_> {
     }
 }
 
-/// Read access to a labeled tree's arenas: the one surface the routing
-/// algorithms ([`step_toward`], [`route_into`]) run against.
-/// [`LabeledTree`] implements it over its decoded store and
-/// [`LabeledView`] over record bytes read in place, so both route
-/// through the same code. Every accessor is total: an index out of
-/// range is `None` (or weight 0), never a panic.
+/// Read access to a labeled tree: its node rows and its label-hop
+/// arena, the one surface the routing algorithms ([`step_toward`],
+/// [`route_into`]) run against. [`LabeledTree`] implements it over its
+/// owned rows and [`LabeledView`] over record bytes read in place;
+/// every per-field read is a provided method, written once over the
+/// two accessors. Every accessor is total: an index out of range is
+/// `None` (or weight 0), never a panic.
 pub trait LabeledRead {
-    /// The label type [`LabeledRead::label_of`] hands out.
-    type Label<'a>: LabelRead
+    /// A row as [`LabeledRead::row`] hands it out: a reference to an
+    /// owned row, or a row decoded from record bytes.
+    type Row<'a>: Borrow<NodeRec>
     where
         Self: 'a;
     /// Number of tree nodes.
     fn size(&self) -> usize;
+    /// The row of tree node `t`.
+    fn row(&self, t: TreeIx) -> Option<Self::Row<'_>>;
+    /// Entry `i` of the label-hop arena.
+    fn hop(&self, i: u32) -> Option<LightHop>;
+
     /// Host-graph id of tree node `t`.
-    fn host_of(&self, t: TreeIx) -> Option<NodeId>;
+    #[inline]
+    fn host_of(&self, t: TreeIx) -> Option<NodeId> {
+        self.row(t).map(|r| NodeId(r.borrow().host))
+    }
+
     /// Parent of `t` (`None` at the root).
-    fn parent_of(&self, t: TreeIx) -> Option<TreeIx>;
+    #[inline]
+    fn parent_of(&self, t: TreeIx) -> Option<TreeIx> {
+        self.row(t)?.borrow().parent()
+    }
+
     /// Weight of the edge from `t` to its parent.
-    fn parent_weight_of(&self, t: TreeIx) -> Weight;
+    #[inline]
+    fn parent_weight_of(&self, t: TreeIx) -> Weight {
+        self.row(t).map_or(0, |r| r.borrow().weight)
+    }
+
     /// Routing info `µ(T,t)`.
-    fn local_at(&self, t: TreeIx) -> Option<NodeLocal>;
-    /// Label `λ(T,t)`.
-    fn label_of(&self, t: TreeIx) -> Option<Self::Label<'_>>;
+    #[inline]
+    fn local_at(&self, t: TreeIx) -> Option<NodeLocal> {
+        self.row(t).map(|r| r.borrow().local())
+    }
+
+    /// Label `λ(T,t)`: `None` when `t` is out of range or its hop run
+    /// leaves the arena.
+    #[inline]
+    fn label_of(&self, t: TreeIx) -> Option<TreeLabel<'_, Self>> {
+        let row = self.row(t)?;
+        let r = row.borrow();
+        let (lo, hi) = r.label_range()?;
+        if hi > lo {
+            self.hop(hi - 1)?;
+        }
+        Some(TreeLabel { dfs: r.dfs_in, lo, hi, tree: self })
+    }
+}
+
+/// A label handed out by [`LabeledRead::label_of`]: the destination's
+/// DFS number and its run `[lo, hi)` of the tree's hop arena.
+pub struct TreeLabel<'a, S: ?Sized> {
+    dfs: u32,
+    lo: u32,
+    hi: u32,
+    tree: &'a S,
+}
+
+impl<S: ?Sized> Clone for TreeLabel<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: ?Sized> Copy for TreeLabel<'_, S> {}
+
+impl<S: LabeledRead + ?Sized> LabelRead for TreeLabel<'_, S> {
+    #[inline]
+    fn dfs(&self) -> u32 {
+        self.dfs
+    }
+
+    #[inline]
+    fn hop(&self, i: u32) -> Option<LightHop> {
+        if i >= self.hi - self.lo {
+            return None;
+        }
+        self.tree.hop(self.lo + i)
+    }
 }
 
 /// Per-node routing information `µ(T,u)`.
@@ -139,15 +216,16 @@ pub enum Step {
     NotInTree,
 }
 
-/// One tree node's routing record: everything the labeled walk, the
-/// climb to the root and the Lemma-4 search read at a node, packed
-/// into one 64-byte cache line. A hop therefore touches one line per
-/// node instead of one per column. The directory ranges (`nc`, `hd`)
-/// and the distance rank are filled by the Lemma-4 store
-/// ([`crate::laing::ErtStore`]); other trees leave them zero.
+/// One tree node's row: everything the labeled walk, the climb to the
+/// root and the Lemma-4 search read at a node, packed into one 64-byte
+/// cache line — so a hop touches one line per node. The same 64 bytes,
+/// little-endian and in field order ([`NodeRec::to_le_bytes`]), are the
+/// node's row in a stored record. The directory ranges (`nc`, `hd`)
+/// and the distance rank are filled by the Lemma-4 tree
+/// ([`crate::laing::ErrorReportingTree`]); other trees leave them zero.
 #[repr(C, align(64))]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct NodeRec {
+pub struct NodeRec {
     /// Weight of the edge to the parent (0 at the root).
     pub(crate) weight: Weight,
     /// Host-graph id.
@@ -176,13 +254,77 @@ pub(crate) struct NodeRec {
     pub(crate) rank: u32,
 }
 
-const _: () =
-    assert!(std::mem::size_of::<NodeRec>() == 64 && std::mem::align_of::<NodeRec>() == 64);
+/// Bytes of one encoded [`NodeRec`].
+pub const ROW_BYTES: usize = 64;
+
+const _: () = assert!(
+    std::mem::size_of::<NodeRec>() == ROW_BYTES && std::mem::align_of::<NodeRec>() == ROW_BYTES
+);
 
 impl NodeRec {
+    /// The row's wire form: `weight` as a little-endian `u64` at byte 0,
+    /// then every `u32` field in declaration order from byte 8 on.
+    pub fn to_le_bytes(&self) -> [u8; ROW_BYTES] {
+        let words = [
+            self.host,
+            self.parent,
+            self.dfs_in,
+            self.dfs_out,
+            self.heavy_in,
+            self.heavy_out,
+            self.heavy,
+            self.light_depth,
+            self.light_off,
+            self.nc_lo,
+            self.nc_hi,
+            self.hd_lo,
+            self.hd_hi,
+            self.rank,
+        ];
+        let mut b = [0u8; ROW_BYTES];
+        let (weight, rest) = b.split_at_mut(8);
+        weight.copy_from_slice(&self.weight.to_le_bytes());
+        for (slot, word) in rest.chunks_exact_mut(4).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
+        }
+        b
+    }
+
+    /// Inverse of [`NodeRec::to_le_bytes`].
+    #[inline]
+    pub fn from_le_bytes(b: &[u8; ROW_BYTES]) -> NodeRec {
+        let word = |i: usize| {
+            let at = 8 + 4 * i;
+            b.get(at..at + 4).and_then(|w| w.try_into().ok()).map_or(0, u32::from_le_bytes)
+        };
+        NodeRec {
+            weight: b.first_chunk().map_or(0, |w| u64::from_le_bytes(*w)),
+            host: word(0),
+            parent: word(1),
+            dfs_in: word(2),
+            dfs_out: word(3),
+            heavy_in: word(4),
+            heavy_out: word(5),
+            heavy: word(6),
+            light_depth: word(7),
+            light_off: word(8),
+            nc_lo: word(9),
+            nc_hi: word(10),
+            hd_lo: word(11),
+            hd_hi: word(12),
+            rank: word(13),
+        }
+    }
+
+    /// Parent tree index, `None` at the root.
+    #[inline]
+    pub fn parent(&self) -> Option<TreeIx> {
+        (self.parent != u32::MAX).then_some(self.parent)
+    }
+
     /// Routing info `µ(T,u)` of this node.
     #[inline]
-    fn local(&self) -> NodeLocal {
+    pub fn local(&self) -> NodeLocal {
         NodeLocal {
             dfs_in: self.dfs_in,
             dfs_out: self.dfs_out,
@@ -190,90 +332,49 @@ impl NodeRec {
             light_depth: self.light_depth,
         }
     }
+
+    /// This node's label run `[lo, hi)` in the hop arena, `None` if the
+    /// end overflows.
+    #[inline]
+    pub fn label_range(&self) -> Option<(u32, u32)> {
+        Some((self.light_off, self.light_off.checked_add(self.light_depth)?))
+    }
 }
 
-/// The plain-old-data half of a [`LabeledTree`]: one [`NodeRec`] per
-/// tree node, in tree-index order, plus the shared label-hop arena.
-/// The records carry the physical tree too (host id, parent, weight),
-/// so a store keeps no separate [`Tree`]; [`LabeledTree::to_tree`]
-/// rebuilds one for the few callers off the route path that need it.
-///
-/// Labels are stored flat: one hop arena (`light_hops`) in tree-index
-/// order, each node's label a contiguous run starting at its record's
-/// `light_off` — two allocations per tree regardless of size, and a
-/// node's label is a 16-byte [`LabelRef`] view.
-#[derive(Clone, Debug)]
-pub struct LabeledStore {
-    nodes: Vec<NodeRec>,
-    light_hops: Vec<LightHop>,
+/// Reset `seen` to an `m`-bit set with no bit marked, keeping its
+/// allocation: the scratch of a record's permutation checks.
+pub(crate) fn clear_marks(seen: &mut Vec<u64>, m: usize) {
+    seen.clear();
+    seen.resize(m.div_ceil(64), 0);
 }
 
-impl LabeledStore {
-    /// Serialize as flat arrays: the tree's host ids, parents and
-    /// weights, then the routing info structure-of-arrays (`u32::MAX`
-    /// heavy-child sentinel for leaves), the light-path offsets and
-    /// hops, and the DFS order. The layout is the one the records
-    /// replaced, so [`LabeledView`] reads it in place.
-    pub fn to_wire(&self, w: &mut Writer) {
-        let column = |f: fn(&NodeRec) -> u32| -> Vec<u32> { self.nodes.iter().map(f).collect() };
-        w.slice_u32(&column(|r| r.host));
-        w.slice_u32(&column(|r| r.parent));
-        let weights: Vec<u64> = self.nodes.iter().map(|r| r.weight).collect();
-        w.slice_u64(&weights);
-        w.slice_u32(&column(|r| r.dfs_in));
-        w.slice_u32(&column(|r| r.dfs_out));
-        w.slice_u32(&column(|r| r.light_depth));
-        let heavy: Vec<u32> =
-            self.nodes.iter().flat_map(|r| [r.heavy_in, r.heavy_out, r.heavy]).collect();
-        w.slice_u32(&heavy);
-        let mut light_off = column(|r| r.light_off);
-        light_off.push(self.light_hops.len() as u32);
-        w.slice_u32(&light_off);
-        let hops: Vec<(u32, u32)> =
-            self.light_hops.iter().map(|h| (h.child_dfs, h.child)).collect();
-        w.slice_pairs(&hops);
-        w.slice_u32(&self.dfs_order());
-    }
-
-    /// Inverse of [`LabeledStore::to_wire`]: the record is read in
-    /// place and validated ([`LabeledView::validate_tree`]) before a
-    /// single record is built, so a corrupt record errors instead of
-    /// leaving out-of-bounds indices for the read path to trip over.
-    pub fn from_wire(r: &mut Reader) -> io::Result<Self> {
-        let view = LabeledView::new(r).map_err(wire::invalid)?;
-        view.validate_tree().map_err(wire::invalid)?;
-        view.to_store()
-    }
-
-    /// `dfs_order[d]` = tree index of the node with DFS number `d`.
-    pub(crate) fn dfs_order(&self) -> Vec<TreeIx> {
-        let mut order = vec![0 as TreeIx; self.nodes.len()];
-        for (t, r) in self.nodes.iter().enumerate() {
-            if let Some(slot) = order.get_mut(r.dfs_in as usize) {
-                *slot = t as TreeIx;
-            }
+/// Mark `i` in the `m`-bit set `seen`: false when `i ≥ m` or `i` was
+/// already marked.
+pub(crate) fn mark(seen: &mut [u64], m: usize, i: u32) -> bool {
+    let bit = 1u64.wrapping_shl(i % 64);
+    match seen.get_mut(i as usize / 64) {
+        Some(w) if (i as usize) < m && *w & bit == 0 => {
+            *w |= bit;
+            true
         }
-        order
-    }
-
-    /// The node records, for the Lemma-4 store to fill its fields.
-    pub(crate) fn nodes(&self) -> &[NodeRec] {
-        &self.nodes
-    }
-
-    /// Mutable node records (see [`LabeledStore::nodes`]).
-    pub(crate) fn nodes_mut(&mut self) -> &mut [NodeRec] {
-        &mut self.nodes
+        _ => false,
     }
 }
 
-/// A tree equipped with the labeled routing scheme: the thin read-path
-/// half over a [`LabeledStore`]. [`LabeledTree::new`] preprocesses a
-/// fresh tree; [`LabeledTree::from_store`] wraps a deserialized store
-/// with zero rebuild — the same routing code serves both.
+/// A tree equipped with the labeled routing scheme: one [`NodeRec`]
+/// per tree node, in tree-index order, plus the shared label-hop arena.
+/// The rows carry the physical tree too (host id, parent, weight), so
+/// no separate [`Tree`] is kept; [`LabeledTree::to_tree`] rebuilds one
+/// for the few callers off the route path that need it.
+///
+/// Labels are stored flat: each node's label is a contiguous run of
+/// `light_hops` starting at its row's `light_off` — two allocations per
+/// tree regardless of size, and a node's label is a 16-byte
+/// [`LabelRef`] view.
 #[derive(Clone, Debug)]
 pub struct LabeledTree {
-    store: LabeledStore,
+    pub(crate) nodes: Vec<NodeRec>,
+    pub(crate) light_hops: Vec<LightHop>,
 }
 
 impl LabeledTree {
@@ -382,29 +483,64 @@ impl LabeledTree {
                 walk.push(c);
             }
         }
-        LabeledTree { store: LabeledStore { nodes, light_hops } }
+        LabeledTree { nodes, light_hops }
     }
 
-    /// Wrap an already-built (typically snapshot-loaded) store. No
-    /// preprocessing happens here — the store *is* the routing state.
-    pub fn from_store(store: LabeledStore) -> Self {
-        LabeledTree { store }
+    /// Serialize as the tree's record: the node count, every row as
+    /// [`NodeRec::to_le_bytes`] writes it, and the length-prefixed hop
+    /// arena of `(child_dfs, child)` pairs. [`LabeledView`] reads the
+    /// record in place.
+    pub fn to_wire(&self, w: &mut Writer) {
+        w.len(self.nodes.len());
+        for r in &self.nodes {
+            w.bytes(&r.to_le_bytes());
+        }
+        w.len(self.light_hops.len());
+        for h in &self.light_hops {
+            w.u32(h.child_dfs);
+            w.u32(h.child);
+        }
     }
 
-    /// The plain-old-data half (for serialization).
-    pub fn store(&self) -> &LabeledStore {
-        &self.store
+    /// Inverse of [`LabeledTree::to_wire`]: the record is read in place
+    /// and validated ([`LabeledView::validate`]) before a single row is
+    /// decoded, so a corrupt record errors instead of leaving
+    /// out-of-bounds indices for the read path to trip over.
+    pub fn from_wire(r: &mut Reader) -> io::Result<Self> {
+        let view = LabeledView::read(r).map_err(wire::invalid)?;
+        view.validate(&mut Vec::new()).map_err(wire::invalid)?;
+        Ok(Self::from_view(view))
     }
 
-    /// Mutable store, for the Lemma-4 store to fill its record fields.
-    pub(crate) fn store_mut(&mut self) -> &mut LabeledStore {
-        &mut self.store
+    /// Copy a validated view's rows and hop arena out: one
+    /// [`NodeRec::from_le_bytes`] per row, nothing recomputed.
+    pub(crate) fn from_view(view: LabeledView<'_>) -> Self {
+        LabeledTree {
+            nodes: view.rows.iter().map(NodeRec::from_le_bytes).collect(),
+            light_hops: view
+                .hops
+                .iter()
+                .map(|(child_dfs, child)| LightHop { child_dfs, child })
+                .collect(),
+        }
+    }
+
+    /// `order[key(row t)]` = `t`: the tree indices ordered by a row
+    /// field that numbers the nodes (`dfs_in`, or the Lemma-4 rank).
+    pub(crate) fn order_by(&self, key: fn(&NodeRec) -> u32) -> Vec<TreeIx> {
+        let mut order = vec![0 as TreeIx; self.nodes.len()];
+        for (t, r) in self.nodes.iter().enumerate() {
+            if let Some(slot) = order.get_mut(key(r) as usize) {
+                *slot = t as TreeIx;
+            }
+        }
+        order
     }
 
     /// Rebuild the physical tree from the records. O(m) and allocating:
     /// for analysis and tests, never the route path.
     pub fn to_tree(&self) -> Tree {
-        let nodes = &self.store.nodes;
+        let nodes = &self.nodes;
         Tree::from_parents(
             nodes.iter().map(|r| r.host).collect(),
             nodes.iter().map(|r| r.parent).collect(),
@@ -412,36 +548,21 @@ impl LabeledTree {
         )
     }
 
-    /// Number of tree nodes.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.store.nodes.len()
-    }
-
     /// Host-graph id of tree node `t`.
     pub fn graph_id(&self, t: TreeIx) -> NodeId {
-        NodeId(self.store.nodes[t as usize].host)
+        NodeId(self.nodes[t as usize].host)
     }
 
     /// Label of tree node `t`: a zero-copy view into the hop arena.
     pub fn label(&self, t: TreeIx) -> LabelRef<'_> {
-        let r = &self.store.nodes[t as usize];
+        let r = &self.nodes[t as usize];
         let a = r.light_off as usize;
-        LabelRef {
-            dfs: r.dfs_in,
-            light_path: &self.store.light_hops[a..a + r.light_depth as usize],
-        }
+        LabelRef { dfs: r.dfs_in, light_path: &self.light_hops[a..a + r.light_depth as usize] }
     }
 
     /// Local routing info of tree node `t`.
     pub fn local(&self, t: TreeIx) -> NodeLocal {
-        self.store.nodes[t as usize].local()
-    }
-
-    /// One forwarding decision at `at` toward `label` — uses only
-    /// `µ(T,at)` and the label (plus physical ports).
-    pub fn route_step(&self, at: TreeIx, label: LabelRef<'_>) -> Step {
-        step_toward(self, at, label)
+        self.nodes[t as usize].local()
     }
 
     /// Route from `from` to the node carrying `label`. Returns the visited
@@ -455,59 +576,41 @@ impl LabeledTree {
 
     /// Max light-path length over all labels (≤ ceil(log2 m)).
     pub fn max_light_depth(&self) -> u32 {
-        self.store.nodes.iter().map(|r| r.light_depth).max().unwrap_or(0)
+        self.nodes.iter().map(|r| r.light_depth).max().unwrap_or(0)
     }
 
     /// Storage bits of `µ(T,t)` for one node.
     pub fn local_bits(&self, t: TreeIx) -> u64 {
         let b = bits_for_node(self.size());
         // dfs_in + dfs_out + heavy option (2 interval ends + port) + light depth.
-        let heavy = 1 + if self.store.nodes[t as usize].heavy != u32::MAX { 3 * b } else { 0 };
+        let heavy = 1 + if self.nodes[t as usize].heavy != u32::MAX { 3 * b } else { 0 };
         2 * b + heavy + b
     }
 
     /// Storage bits of `λ(T,t)`.
     pub fn label_bits(&self, t: TreeIx) -> u64 {
         let b = bits_for_node(self.size());
-        let hops = self.store.nodes[t as usize].light_depth as u64;
+        let hops = self.nodes[t as usize].light_depth as u64;
         b + hops * 2 * b + b // dfs + hops + length field
     }
 }
 
 impl LabeledRead for LabeledTree {
-    type Label<'a> = LabelRef<'a>;
+    type Row<'a> = &'a NodeRec;
 
     #[inline]
     fn size(&self) -> usize {
-        self.store.nodes.len()
+        self.nodes.len()
     }
 
     #[inline]
-    fn host_of(&self, t: TreeIx) -> Option<NodeId> {
-        self.store.nodes.get(t as usize).map(|r| NodeId(r.host))
+    fn row(&self, t: TreeIx) -> Option<&NodeRec> {
+        self.nodes.get(t as usize)
     }
 
     #[inline]
-    fn parent_of(&self, t: TreeIx) -> Option<TreeIx> {
-        self.store.nodes.get(t as usize).map(|r| r.parent).filter(|&p| p != u32::MAX)
-    }
-
-    #[inline]
-    fn parent_weight_of(&self, t: TreeIx) -> Weight {
-        self.store.nodes.get(t as usize).map_or(0, |r| r.weight)
-    }
-
-    #[inline]
-    fn local_at(&self, t: TreeIx) -> Option<NodeLocal> {
-        self.store.nodes.get(t as usize).map(NodeRec::local)
-    }
-
-    #[inline]
-    fn label_of(&self, t: TreeIx) -> Option<LabelRef<'_>> {
-        let r = self.store.nodes.get(t as usize)?;
-        let a = r.light_off as usize;
-        let light_path = self.store.light_hops.get(a..a + r.light_depth as usize)?;
-        Some(LabelRef { dfs: r.dfs_in, light_path })
+    fn hop(&self, i: u32) -> Option<LightHop> {
+        self.light_hops.get(i as usize).copied()
     }
 }
 
@@ -516,16 +619,18 @@ impl LabeledRead for LabeledTree {
 /// (corrupt caller state) is "not in this tree", not a panic.
 #[inline]
 pub fn step_toward<S: LabeledRead + ?Sized>(s: &S, at: TreeIx, label: impl LabelRead) -> Step {
-    let Some(me) = s.local_at(at) else {
+    let Some(row) = s.row(at) else {
         return Step::NotInTree;
     };
+    let row = row.borrow();
+    let me = row.local();
     let dfs = label.dfs();
     if dfs == me.dfs_in {
         return Step::Deliver;
     }
     if dfs < me.dfs_in || dfs >= me.dfs_out {
         // Destination outside my subtree: go up.
-        return match s.parent_of(at) {
+        return match row.parent() {
             Some(p) => Step::Forward(p),
             None => Step::NotInTree,
         };
@@ -578,7 +683,11 @@ pub fn route_into<S: LabeledRead + ?Sized>(
 
 /// Weight of the tree edge between `a` and `b`, if they are adjacent.
 #[inline]
-fn edge_weight_of<S: LabeledRead + ?Sized>(s: &S, a: TreeIx, b: TreeIx) -> Option<Weight> {
+pub(crate) fn edge_weight_of<S: LabeledRead + ?Sized>(
+    s: &S,
+    a: TreeIx,
+    b: TreeIx,
+) -> Option<Weight> {
     if s.parent_of(a) == Some(b) {
         Some(s.parent_weight_of(a))
     } else if s.parent_of(b) == Some(a) {
@@ -588,221 +697,93 @@ fn edge_weight_of<S: LabeledRead + ?Sized>(s: &S, a: TreeIx, b: TreeIx) -> Optio
     }
 }
 
-/// A [`LabeledStore`] record ([`LabeledStore::to_wire`]) read in place:
-/// every array stays in the record bytes, and every read is a checked
-/// little-endian word read. Routing over a view runs the same
-/// algorithms as over a decoded [`LabeledTree`].
+/// A [`LabeledTree`] record ([`LabeledTree::to_wire`]) read in place:
+/// the rows and the hop arena stay in the record bytes, and a row read
+/// is one [`NodeRec::from_le_bytes`]. Routing over a view runs the same
+/// algorithms as over an owned [`LabeledTree`].
 #[derive(Clone, Copy, Debug)]
 pub struct LabeledView<'a> {
-    graph_ids: U32View<'a>,
-    parents: U32View<'a>,
-    weights: U64View<'a>,
-    dfs_in: U32View<'a>,
-    dfs_out: U32View<'a>,
-    light_depth: U32View<'a>,
-    /// `(dfs_in, dfs_out, tree index)` of each node's heavy child,
-    /// `u32::MAX` index at leaves.
-    heavy: U32View<'a>,
-    light_off: U32View<'a>,
-    light_hops: PairView<'a>,
-    dfs_order: U32View<'a>,
-}
-
-impl<'a> LabeledView<'a> {
-    /// Borrow the record at the reader's position: walk its length
-    /// prefixes and check every array's length against the tree size.
-    /// O(1) in the tree size; [`LabeledView::validate_tree`] checks contents.
-    /// Errors are static reasons, so rejecting a record never allocates.
-    pub fn new(r: &mut Reader<'a>) -> Result<Self, &'static str> {
-        let arrays = |r: &mut Reader<'a>| -> io::Result<Self> {
-            Ok(LabeledView {
-                graph_ids: r.u32_view()?,
-                parents: r.u32_view()?,
-                weights: r.u64_view()?,
-                dfs_in: r.u32_view()?,
-                dfs_out: r.u32_view()?,
-                light_depth: r.u32_view()?,
-                heavy: r.u32_view()?,
-                light_off: r.u32_view()?,
-                light_hops: r.pair_view()?,
-                dfs_order: r.u32_view()?,
-            })
-        };
-        let v = arrays(r).map_err(|_| "truncated labeled store record")?;
-        let m = v.graph_ids.len();
-        if m == 0 || v.parents.len() != m || v.weights.len() != m {
-            return Err("inconsistent tree record");
-        }
-        if v.dfs_in.len() != m
-            || v.dfs_out.len() != m
-            || v.light_depth.len() != m
-            || v.heavy.len() != 3 * m
-            || v.light_off.len() != m + 1
-            || v.dfs_order.len() != m
-        {
-            return Err("labeled store arrays have mismatched lengths");
-        }
-        Ok(v)
-    }
-
-    /// Every check [`LabeledStore::from_wire`] (and the tree decode
-    /// beneath it) makes, run in place without allocating. Acyclicity
-    /// is checked as `dfs_in[parent[t]] < dfs_in[t]` for every `t ≠ 0`:
-    /// parents precede children in the heavy-first DFS, and with
-    /// `dfs_in` a permutation this also proves every node reaches the
-    /// root — stronger than the decoder's visit count, which accepts a
-    /// tree whose DFS numbering ignores its parents.
-    pub fn validate_tree(&self) -> Result<(), &'static str> {
-        let m = self.size();
-        for (t, d) in self.dfs_in.iter().enumerate() {
-            if self.dfs_order.get(d as usize) != Some(t as u32) {
-                return Err("labeled store DFS order is not a permutation");
-            }
-        }
-        if self.parents.get(0) != Some(u32::MAX) {
-            return Err("node 0 must be the root");
-        }
-        for (p, d) in self.parents.iter().zip(self.dfs_in.iter()).skip(1) {
-            if (p as usize) >= m {
-                return Err("bad parent in tree record");
-            }
-            if self.dfs_in.get(p as usize).is_none_or(|pd| pd >= d) {
-                return Err("parent relation is not a tree in DFS order");
-            }
-        }
-        if self.light_off.get(0) != Some(0)
-            || self.light_off.get(m) != Some(self.light_hops.len() as u32)
-        {
-            return Err("labeled store light-path arena bounds");
-        }
-        let per_node = self
-            .dfs_in
-            .iter()
-            .zip(self.dfs_out.iter())
-            .zip(self.light_depth.iter())
-            .zip(self.light_off.iter().zip(self.light_off.iter().skip(1)))
-            .zip(self.heavy.iter().skip(2).step_by(3));
-        for ((((din, dout), ld), (off, next)), hc) in per_node {
-            if dout <= din || dout as usize > m {
-                return Err("labeled store subtree interval out of range");
-            }
-            if next < off || next - off != ld {
-                return Err("labeled store light offsets disagree with depths");
-            }
-            if hc != u32::MAX && hc as usize >= m {
-                return Err("labeled store heavy child out of range");
-            }
-        }
-        if self.light_hops.iter().any(|(_, child)| child as usize >= m) {
-            return Err("labeled store light hop out of range");
-        }
-        Ok(())
-    }
-
-    /// Copy a validated view out into an owned store: one record per
-    /// node, built straight from the checked arrays.
-    pub(crate) fn to_store(self) -> io::Result<LabeledStore> {
-        let record = |t: TreeIx| -> Option<NodeRec> {
-            let local = self.local_at(t)?;
-            let (heavy_in, heavy_out, heavy) = local.heavy.unwrap_or((0, 0, u32::MAX));
-            Some(NodeRec {
-                weight: self.weights.get(t as usize)?,
-                host: self.graph_ids.get(t as usize)?,
-                parent: self.parents.get(t as usize)?,
-                dfs_in: local.dfs_in,
-                dfs_out: local.dfs_out,
-                heavy_in,
-                heavy_out,
-                heavy,
-                light_depth: local.light_depth,
-                light_off: self.light_off.get(t as usize)?,
-                ..NodeRec::default()
-            })
-        };
-        // Exact capacity: resident loads keep every tree's records.
-        let mut nodes = Vec::with_capacity(self.size());
-        for t in 0..self.size() as TreeIx {
-            nodes
-                .push(record(t).ok_or_else(|| {
-                    wire::invalid("labeled store arrays have mismatched lengths")
-                })?);
-        }
-        let light_hops = self
-            .light_hops
-            .iter()
-            .map(|(child_dfs, child)| LightHop { child_dfs, child })
-            .collect();
-        Ok(LabeledStore { nodes, light_hops })
-    }
-}
-
-/// A label read in place from a [`LabeledView`].
-#[derive(Clone, Copy, Debug)]
-pub struct ViewLabel<'a> {
-    dfs: u32,
+    rows: &'a [[u8; ROW_BYTES]],
     hops: PairView<'a>,
 }
 
-impl LabelRead for ViewLabel<'_> {
+impl<'a> LabeledView<'a> {
+    /// Borrow the record at the reader's position, leaving the reader
+    /// just past it. O(1) in the tree size; [`LabeledView::validate`]
+    /// checks contents. Errors are static reasons, so rejecting a record
+    /// never allocates.
+    pub fn read(r: &mut Reader<'a>) -> Result<Self, &'static str> {
+        let (Ok(rows), Ok(hops)) = (r.array(), r.pair_view()) else {
+            return Err("truncated labeled tree record");
+        };
+        if rows.is_empty() {
+            return Err("empty tree record");
+        }
+        Ok(LabeledView { rows, hops })
+    }
+
+    /// Every check [`LabeledTree::from_wire`] makes, row by row and
+    /// without allocating once `seen` (the scratch of the DFS
+    /// permutation check) has grown to the tree size:
+    ///
+    /// * node 0 is the root and every other parent is a node with a
+    ///   smaller `dfs_in` — with `dfs_in` a permutation this proves
+    ///   every node reaches the root;
+    /// * `dfs_in` is a permutation of `0..m`, and every subtree
+    ///   interval `[dfs_in, dfs_out)` is non-empty and inside `0..m`;
+    /// * heavy children and light-hop children are in range;
+    /// * every label run lies inside the hop arena.
+    pub fn validate(&self, seen: &mut Vec<u64>) -> Result<(), &'static str> {
+        let m = self.rows.len();
+        clear_marks(seen, m);
+        for (t, bytes) in self.rows.iter().enumerate() {
+            let r = NodeRec::from_le_bytes(bytes);
+            if r.dfs_out <= r.dfs_in || r.dfs_out as usize > m {
+                return Err("labeled tree subtree interval out of range");
+            }
+            if !mark(seen, m, r.dfs_in) {
+                return Err("labeled tree DFS numbers are not a permutation");
+            }
+            let parent_ok = match r.parent() {
+                None => t == 0,
+                Some(p) => t != 0 && self.row(p).is_some_and(|pr| pr.dfs_in < r.dfs_in),
+            };
+            if !parent_ok {
+                return Err("parent relation is not a tree rooted at node 0 in DFS order");
+            }
+            if r.heavy != u32::MAX && r.heavy as usize >= m {
+                return Err("labeled tree heavy child out of range");
+            }
+            if r.label_range().is_none_or(|(_, hi)| hi as usize > self.hops.len()) {
+                return Err("labeled tree label outside the hop arena");
+            }
+        }
+        if self.hops.iter().any(|(_, child)| child as usize >= m) {
+            return Err("labeled tree light hop out of range");
+        }
+        Ok(())
+    }
+}
+
+impl LabeledRead for LabeledView<'_> {
+    type Row<'a>
+        = NodeRec
+    where
+        Self: 'a;
+
     #[inline]
-    fn dfs(&self) -> u32 {
-        self.dfs
+    fn size(&self) -> usize {
+        self.rows.len()
+    }
+
+    #[inline]
+    fn row(&self, t: TreeIx) -> Option<NodeRec> {
+        self.rows.get(t as usize).map(NodeRec::from_le_bytes)
     }
 
     #[inline]
     fn hop(&self, i: u32) -> Option<LightHop> {
         self.hops.get(i as usize).map(|(child_dfs, child)| LightHop { child_dfs, child })
-    }
-}
-
-impl<'a> LabeledRead for LabeledView<'a> {
-    type Label<'b>
-        = ViewLabel<'a>
-    where
-        Self: 'b;
-
-    #[inline]
-    fn size(&self) -> usize {
-        self.graph_ids.len()
-    }
-
-    #[inline]
-    fn host_of(&self, t: TreeIx) -> Option<NodeId> {
-        self.graph_ids.get(t as usize).map(NodeId)
-    }
-
-    #[inline]
-    fn parent_of(&self, t: TreeIx) -> Option<TreeIx> {
-        self.parents.get(t as usize).filter(|&p| p != u32::MAX)
-    }
-
-    #[inline]
-    fn parent_weight_of(&self, t: TreeIx) -> Weight {
-        self.weights.get(t as usize).unwrap_or(0)
-    }
-
-    #[inline]
-    fn local_at(&self, t: TreeIx) -> Option<NodeLocal> {
-        let t = t as usize;
-        let hc = self.heavy.get(3 * t + 2)?;
-        let heavy = if hc == u32::MAX {
-            None
-        } else {
-            Some((self.heavy.get(3 * t)?, self.heavy.get(3 * t + 1)?, hc))
-        };
-        Some(NodeLocal {
-            dfs_in: self.dfs_in.get(t)?,
-            dfs_out: self.dfs_out.get(t)?,
-            heavy,
-            light_depth: self.light_depth.get(t)?,
-        })
-    }
-
-    #[inline]
-    fn label_of(&self, t: TreeIx) -> Option<ViewLabel<'a>> {
-        let t = t as usize;
-        let (a, b) = (self.light_off.get(t)? as usize, self.light_off.get(t + 1)? as usize);
-        Some(ViewLabel { dfs: self.dfs_in.get(t)?, hops: self.light_hops.range(a, b)? })
     }
 }
 
@@ -903,7 +884,7 @@ mod tests {
         let g = gen::random_tree(100, WeightDist::Unit, &mut rng);
         let lt = LabeledTree::new(spanning_tree(&g, NodeId(0)));
         let mut seen = [false; 100];
-        let order = lt.store().dfs_order();
+        let order = lt.order_by(|r| r.dfs_in);
         for t in 0..100u32 {
             let d = lt.local(t).dfs_in as usize;
             assert!(!seen[d]);
@@ -966,10 +947,9 @@ mod tests {
         let g = gen::random_tree(90, WeightDist::UniformInt { lo: 1, hi: 9 }, &mut rng);
         let lt = LabeledTree::new(spanning_tree(&g, NodeId(0)));
         let mut w = graphkit::wire::Writer::new();
-        lt.store().to_wire(&mut w);
+        lt.to_wire(&mut w);
         let bytes = w.into_bytes();
-        let store = LabeledStore::from_wire(&mut graphkit::wire::Reader::new(&bytes)).unwrap();
-        let lt2 = LabeledTree::from_store(store);
+        let lt2 = LabeledTree::from_wire(&mut graphkit::wire::Reader::new(&bytes)).unwrap();
         for s in 0..lt.size() as u32 {
             for t in 0..lt.size() as u32 {
                 assert_eq!(lt2.route(s, lt2.label(t)), lt.route(s, lt.label(t)));
@@ -978,7 +958,7 @@ mod tests {
         // Truncations error rather than panic.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                LabeledStore::from_wire(&mut graphkit::wire::Reader::new(&bytes[..cut])).is_err()
+                LabeledTree::from_wire(&mut graphkit::wire::Reader::new(&bytes[..cut])).is_err()
             );
         }
     }

@@ -23,22 +23,30 @@
 //!
 //! ## Storage layout
 //!
-//! Directories are flat: both per-node stores are arenas whose rows
-//! follow distance **rank**, each node's record in the [`LabeledTree`]
-//! holds its two row ranges, and every entry refers to its target by
-//! tree index (the label itself stays in the shared hop arena). Name lookups use pure rank arithmetic
-//! ([`Naming::child_rank`] / [`Naming::rank_of_name`] on a borrowed
-//! digit slice) — no `Vec<u32>`-keyed hash maps anywhere, so building a
-//! tree's directories performs O(1) allocations total.
+//! The table `τ(T,u)` of a node is its [`NodeRec`] row — `µ(T,u)`, its
+//! distance rank, and its row `[lo, hi)` in each of the two directory
+//! arenas — plus those two arena rows. Arena rows follow distance
+//! rank, and every entry refers to its target by tree index (the label
+//! itself stays in the shared hop arena). A record on disk is the same
+//! thing as the tree in memory: a header (k, σ, the hash-verified flag,
+//! the hash coefficients), the labeled record (node rows and hop
+//! arena), then the name-children and hash-directory arenas. Name
+//! lookups use pure rank arithmetic ([`Naming::child_rank`] /
+//! [`Naming::rank_of_name`] on a borrowed digit slice) — no
+//! `Vec<u32>`-keyed hash maps anywhere, so building a tree's
+//! directories performs O(1) allocations total.
 
 use graphkit::bits::{bits_for_node, StorageCost};
 use graphkit::ids::ceil_log2;
-use graphkit::wire::{self, PairIter, PairView, Reader, U32View, U64View};
+use graphkit::wire::{self, PairView, Reader, U64View, Writer};
 use graphkit::{Cost, NodeId, Tree, TreeIx};
+use std::borrow::Borrow;
 use std::io;
 
 use crate::hashing::{digit_at, eval_coeffs, PolyHash, FIELD_P};
-use crate::labeled::{route_into, LabeledRead, LabeledTree, LabeledView, NodeRec};
+use crate::labeled::{
+    clear_marks, mark, route_into, LabeledRead, LabeledTree, LabeledView, NodeRec,
+};
 use crate::names::Naming;
 
 /// Outcome of a j-bounded search.
@@ -75,16 +83,15 @@ impl SearchOutcome {
     }
 }
 
-/// The plain-old-data half of an [`ErrorReportingTree`]: the labeled
-/// store plus every Lemma-4 directory arena, already assembled. Each
-/// node's directory rows and distance rank live in its
-/// [`crate::labeled::LabeledStore`] record, next to its routing info,
-/// so a search hop reads one cache line per node. A store serializes
-/// as flat arrays and deserializes in one pass — no re-running of
-/// naming, labeling, or directory assembly — which is what makes spill
-/// reloads and snapshot loads cheap.
+/// A tree equipped with the Lemma 4 name-independent error-reporting
+/// scheme: the labeled tree (whose rows also carry each node's rank and
+/// directory rows), the two directory arenas, the hash, and the
+/// (cheaply re-derivable) naming plan. It serializes as its arenas
+/// verbatim and deserializes in one pass — no re-running of naming,
+/// labeling, or directory assembly — which is what makes spill reloads
+/// and snapshot loads cheap.
 #[derive(Clone, Debug)]
-pub struct ErtStore {
+pub struct ErrorReportingTree {
     labeled: LabeledTree,
     hash: PolyHash,
     k: usize,
@@ -96,88 +103,6 @@ pub struct ErtStore {
     hd: Vec<(u32, TreeIx)>,
     /// Whether the hash verification succeeded within the retry budget.
     hash_verified: bool,
-}
-
-impl ErtStore {
-    /// Serialize every arena verbatim — the record a spill file or a
-    /// snapshot section holds. The rank permutation and the
-    /// rank-indexed row offsets are regenerated from the node records,
-    /// so the bytes are the same as those of the column layout the
-    /// records replaced. Decoding is one pass plus bounds checks;
-    /// nothing is recomputed.
-    pub fn to_wire(&self, w: &mut wire::Writer) {
-        w.u64(self.k as u64);
-        w.u64(self.sigma);
-        w.u8(self.hash_verified as u8);
-        w.slice_u64(self.hash.coeffs());
-        let store = self.labeled.store();
-        store.to_wire(w);
-        let nodes = store.nodes();
-        let node_of_rank = rank_order(nodes);
-        let rank_of: Vec<u32> = nodes.iter().map(|r| r.rank).collect();
-        let offsets = |lo: fn(&NodeRec) -> u32, len: usize| -> Vec<u32> {
-            let mut off: Vec<u32> =
-                node_of_rank.iter().filter_map(|&t| nodes.get(t as usize)).map(lo).collect();
-            off.push(len as u32);
-            off
-        };
-        w.slice_u32(&node_of_rank);
-        w.slice_u32(&rank_of);
-        w.slice_u32(&offsets(|r| r.nc_lo, self.nc.len()));
-        w.slice_pairs(&self.nc);
-        w.slice_u32(&offsets(|r| r.hd_lo, self.hd.len()));
-        w.slice_pairs(&self.hd);
-    }
-
-    /// Inverse of [`ErtStore::to_wire`]: the record is read in place
-    /// ([`ErtView::read`]) and validated ([`ErtView::validate`]) before
-    /// a single record is built, so corrupt bytes are an
-    /// [`io::Error`], never a panic or a latent out-of-bounds index.
-    pub fn from_wire(r: &mut wire::Reader) -> io::Result<Self> {
-        let view = ErtView::read(r).map_err(wire::invalid)?;
-        view.validate().map_err(wire::invalid)?;
-        let mut labeled = view.labeled.to_store()?;
-        for (rec, rank) in labeled.nodes_mut().iter_mut().zip(view.rank_of.iter()) {
-            let row =
-                |off: U32View<'_>| Some((off.get(rank as usize)?, off.get(rank as usize + 1)?));
-            let ((nc_lo, nc_hi), (hd_lo, hd_hi)) = row(view.nc_off)
-                .zip(row(view.hd_off))
-                .ok_or_else(|| wire::invalid("ERT directory offsets corrupt"))?;
-            (rec.rank, rec.nc_lo, rec.nc_hi, rec.hd_lo, rec.hd_hi) =
-                (rank, nc_lo, nc_hi, hd_lo, hd_hi);
-        }
-        let labeled = LabeledTree::from_store(labeled);
-        let m = labeled.size();
-        Ok(ErtStore {
-            labeled,
-            hash: PolyHash::from_coeffs(view.coeffs.iter().collect()),
-            k: view.k,
-            sigma: view.sigma,
-            max_load: ErrorReportingTree::load_budget(m, view.sigma),
-            nc: view.nc.iter().collect(),
-            hd: view.hd.iter().collect(),
-            hash_verified: view.hash_verified,
-        })
-    }
-}
-
-/// `order[r]` = tree index of the node with distance rank `r`.
-fn rank_order(nodes: &[NodeRec]) -> Vec<TreeIx> {
-    let mut order = vec![0 as TreeIx; nodes.len()];
-    for (t, r) in nodes.iter().enumerate() {
-        if let Some(slot) = order.get_mut(r.rank as usize) {
-            *slot = t as TreeIx;
-        }
-    }
-    order
-}
-
-/// A tree equipped with the Lemma 4 name-independent error-reporting
-/// scheme: the thin read-path half over an [`ErtStore`], plus the
-/// (cheaply re-derivable) naming plan.
-#[derive(Clone, Debug)]
-pub struct ErrorReportingTree {
-    store: ErtStore,
     naming: Naming,
 }
 
@@ -260,7 +185,7 @@ impl ErrorReportingTree {
         // Item (2): name-children. Child names of rank r are contiguous
         // ranks at the next level, so this is a straight append in
         // (rank, digit) order; each node's record keeps its row.
-        let nodes = labeled.store_mut().nodes_mut();
+        let nodes = &mut labeled.nodes;
         let mut nc: Vec<(u32, TreeIx)> = Vec::new();
         for (rank, &t) in node_of_rank.iter().enumerate() {
             let lo = nc.len() as u32;
@@ -308,23 +233,7 @@ impl ErrorReportingTree {
             let rec = &mut nodes[owner_ix as usize];
             (rec.hd_lo, rec.hd_hi) = (lo, hd.len() as u32);
         }
-        ErrorReportingTree {
-            store: ErtStore { labeled, hash, k, sigma, max_load, nc, hd, hash_verified },
-            naming,
-        }
-    }
-
-    /// Wrap a deserialized [`ErtStore`], re-deriving only the naming
-    /// plan (pure rank arithmetic, O(1) state). No directory assembly —
-    /// this is the snapshot/spill read path.
-    pub fn from_store(store: ErtStore) -> Self {
-        let naming = Naming::new(store.labeled.size(), store.sigma);
-        ErrorReportingTree { store, naming }
-    }
-
-    /// The plain-old-data half (for serialization).
-    pub fn store(&self) -> &ErtStore {
-        &self.store
+        ErrorReportingTree { labeled, hash, k, sigma, max_load, nc, hd, hash_verified, naming }
     }
 
     /// Worst prefix load of `h` over all levels (the quantity the paper
@@ -372,64 +281,29 @@ impl ErrorReportingTree {
         worst
     }
 
-    /// The underlying labeled scheme (and physical tree).
-    pub fn labeled(&self) -> &LabeledTree {
-        &self.store.labeled
-    }
-
     /// The naming plan.
     pub fn naming(&self) -> &Naming {
         &self.naming
     }
 
-    /// Search depth bound k.
-    pub fn k(&self) -> usize {
-        self.store.k
-    }
-
-    /// Alphabet size σ.
-    pub fn sigma(&self) -> u64 {
-        self.store.sigma
-    }
-
     /// Directory budget σ·log n.
     pub fn max_load(&self) -> usize {
-        self.store.max_load
+        self.max_load
     }
 
     /// Did the hash pass the prefix-load verification?
     pub fn hash_verified(&self) -> bool {
-        self.store.hash_verified
-    }
-
-    /// The node record of `t`, if in range.
-    #[inline]
-    fn rec(&self, t: TreeIx) -> Option<&NodeRec> {
-        self.store.labeled.store().nodes().get(t as usize)
+        self.hash_verified
     }
 
     /// Distance rank of tree node `t` (0 = root).
     pub fn rank(&self, t: TreeIx) -> u32 {
-        self.rec(t).map_or(u32::MAX, |r| r.rank)
+        self.labeled.row(t).map_or(u32::MAX, |r| r.rank)
     }
 
     /// Tree nodes in distance-rank order: `order[r]` has rank `r`.
     pub fn rank_order(&self) -> Vec<TreeIx> {
-        rank_order(self.store.labeled.store().nodes())
-    }
-
-    /// Item (2) of node `t`'s storage: `(digit, name-child tree index)`.
-    #[inline]
-    pub fn name_children(&self, t: TreeIx) -> &[(u32, TreeIx)] {
-        let row = self.rec(t).and_then(|r| self.store.nc.get(r.nc_lo as usize..r.nc_hi as usize));
-        row.unwrap_or(&[])
-    }
-
-    /// Item (3) of node `t`'s storage: `(target graph id, tree index)`.
-    #[inline]
-    pub fn hash_dir(&self, t: TreeIx) -> &[(u32, TreeIx)] {
-        let row = self.rec(t).and_then(|r| self.store.hd.get(r.hd_lo as usize..r.hd_hi as usize));
-        row.unwrap_or(&[])
+        self.labeled.order_by(|r| r.rank)
     }
 
     /// Depth of the farthest node in `V_j` (used by the Lemma 4 cost
@@ -437,7 +311,7 @@ impl ErrorReportingTree {
     /// route path.
     pub fn max_depth_in_level(&self, j: usize) -> Cost {
         let cap = self.naming.level_capacity(j);
-        let tree = self.store.labeled.to_tree();
+        let tree = self.labeled.to_tree();
         (0..tree.size() as TreeIx)
             .filter(|&t| (self.rank(t) as usize) < cap)
             .map(|t| tree.depth(t))
@@ -455,7 +329,7 @@ impl ErrorReportingTree {
             let rank = self.rank(t) as usize;
             j = j.max(self.naming.level_of_rank(rank).max(1));
         }
-        j.min(self.store.k)
+        j.min(self.k)
     }
 
     /// Execute a `j`-bounded search from the root for the node whose
@@ -468,13 +342,13 @@ impl ErrorReportingTree {
     /// directories + the hash description (τ(T,t) in the paper's
     /// notation).
     pub fn node_bits(&self, t: TreeIx) -> u64 {
-        let labeled = &self.store.labeled;
+        let labeled = &self.labeled;
         let id_bits = bits_for_node(labeled.size());
-        let mut bits = labeled.local_bits(t) + self.store.hash.storage_bits();
-        for &(_, child) in self.name_children(t) {
-            bits += ceil_log2(self.store.sigma) as u64 + labeled.label_bits(child);
+        let mut bits = labeled.local_bits(t) + self.hash.storage_bits();
+        for (_, child) in self.name_entries(t) {
+            bits += ceil_log2(self.sigma) as u64 + labeled.label_bits(child);
         }
-        for &(_, ix) in self.hash_dir(t) {
+        for (_, ix) in self.hash_entries(t) {
             bits += id_bits + labeled.label_bits(ix);
         }
         bits
@@ -482,36 +356,78 @@ impl ErrorReportingTree {
 
     /// Total storage over all nodes.
     pub fn total_bits(&self) -> u64 {
-        (0..self.store.labeled.size() as u32).map(|t| self.node_bits(t)).sum()
+        (0..self.labeled.size() as u32).map(|t| self.node_bits(t)).sum()
     }
 
-    /// Serialize the full [`ErtStore`] — every directory arena verbatim,
-    /// so [`ErrorReportingTree::from_wire`] is a one-pass decode with no
-    /// reassembly. (Earlier revisions wrote only the irreducible parts
-    /// and re-ran [`ErrorReportingTree::from_parts`] on every reload;
-    /// the full-store record trades bytes for O(m log m) rebuild work,
-    /// and lets a snapshot copy a spilled record without decoding it.)
-    pub fn to_wire(&self, w: &mut wire::Writer) {
-        self.store.to_wire(w);
+    /// Serialize the tree as its record: the header (k, σ, the
+    /// hash-verified flag, the hash coefficients), the labeled record
+    /// ([`LabeledTree::to_wire`]: node rows and hop arena), then the
+    /// name-children and hash-directory arenas — every array verbatim,
+    /// so [`ErrorReportingTree::from_wire`] is a row copy with no
+    /// reassembly, and a snapshot copies a spilled record without
+    /// decoding it.
+    pub fn to_wire(&self, w: &mut Writer) {
+        w.u64(self.k as u64);
+        w.u64(self.sigma);
+        w.u8(self.hash_verified as u8);
+        w.slice_u64(self.hash.coeffs());
+        self.labeled.to_wire(w);
+        w.slice_pairs(&self.nc);
+        w.slice_pairs(&self.hd);
     }
 
-    /// Inverse of [`ErrorReportingTree::to_wire`].
-    pub fn from_wire(r: &mut wire::Reader) -> io::Result<Self> {
-        Ok(Self::from_store(ErtStore::from_wire(r)?))
+    /// Inverse of [`ErrorReportingTree::to_wire`]: the record is read in
+    /// place ([`ErtView::read`]) and validated ([`ErtView::validate`])
+    /// before a single row is copied out, so corrupt bytes are an
+    /// [`io::Error`], never a panic or a latent out-of-bounds index.
+    pub fn from_wire(r: &mut Reader) -> io::Result<Self> {
+        let view = ErtView::read(r).map_err(wire::invalid)?;
+        view.validate(&mut Vec::new()).map_err(wire::invalid)?;
+        let hash = PolyHash::try_from_coeffs(view.coeffs.iter().collect())
+            .ok_or_else(|| wire::invalid("bad ERT record header"))?;
+        let labeled = LabeledTree::from_view(view.labeled);
+        let m = labeled.size();
+        Ok(ErrorReportingTree {
+            naming: Naming::new(m, view.sigma),
+            labeled,
+            hash,
+            k: view.k,
+            sigma: view.sigma,
+            max_load: Self::load_budget(m, view.sigma),
+            nc: view.nc.iter().collect(),
+            hd: view.hd.iter().collect(),
+            hash_verified: view.hash_verified,
+        })
+    }
+}
+
+/// One of the two Lemma-4 directory arenas.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dir {
+    /// Item (2): `(digit, name-child tree index)`.
+    NameChildren,
+    /// Item (3): `(target graph id, target tree index)`.
+    HashDir,
+}
+
+impl NodeRec {
+    /// This node's row `[lo, hi)` in directory `dir`.
+    #[inline]
+    fn dir_row(&self, dir: Dir) -> (u32, u32) {
+        match dir {
+            Dir::NameChildren => (self.nc_lo, self.nc_hi),
+            Dir::HashDir => (self.hd_lo, self.hd_hi),
+        }
     }
 }
 
 /// Read access to a Lemma-4 tree: the surface [`search_bounded`] runs
-/// against.
-/// [`ErrorReportingTree`] implements it over its decoded store and
-/// [`ErtView`] over record bytes read in place.
+/// against. [`ErrorReportingTree`] implements it over its owned arenas
+/// and [`ErtView`] over record bytes read in place; the per-node
+/// directory rows are provided methods over one arena accessor.
 pub trait ErtRead {
     /// The labeled tree underneath.
     type Tree: LabeledRead + ?Sized;
-    /// Iterator over one node's directory row.
-    type Dir<'a>: Iterator<Item = (u32, TreeIx)>
-    where
-        Self: 'a;
     /// The labeled tree underneath (and its physical tree).
     fn labeled(&self) -> &Self::Tree;
     /// Search depth bound k.
@@ -520,59 +436,76 @@ pub trait ErtRead {
     fn sigma(&self) -> u64;
     /// The hash polynomial evaluated at `x`.
     fn hash_eval(&self, x: u64) -> u64;
+    /// Entries `lo..hi` of directory arena `dir`, in order; none when
+    /// the run leaves the arena.
+    fn dir_entries(&self, dir: Dir, lo: u32, hi: u32) -> impl Iterator<Item = (u32, TreeIx)> + '_;
+
     /// Item (2) of node `t`: `(digit, name-child tree index)`.
-    fn name_entries(&self, t: TreeIx) -> Self::Dir<'_>;
+    #[inline]
+    fn name_entries(&self, t: TreeIx) -> impl Iterator<Item = (u32, TreeIx)> + '_ {
+        let (lo, hi) = dir_row_of(self, Dir::NameChildren, t);
+        self.dir_entries(Dir::NameChildren, lo, hi)
+    }
+
     /// Item (3) of node `t`: `(target graph id, tree index)`.
-    fn hash_entries(&self, t: TreeIx) -> Self::Dir<'_>;
+    #[inline]
+    fn hash_entries(&self, t: TreeIx) -> impl Iterator<Item = (u32, TreeIx)> + '_ {
+        let (lo, hi) = dir_row_of(self, Dir::HashDir, t);
+        self.dir_entries(Dir::HashDir, lo, hi)
+    }
+}
+
+/// Node `t`'s row `[lo, hi)` of directory `dir`; empty for a node out
+/// of range.
+#[inline]
+fn dir_row_of<S: ErtRead + ?Sized>(s: &S, dir: Dir, t: TreeIx) -> (u32, u32) {
+    s.labeled().row(t).map_or((0, 0), |r| r.borrow().dir_row(dir))
 }
 
 impl ErtRead for ErrorReportingTree {
     type Tree = LabeledTree;
-    type Dir<'a> = std::iter::Copied<std::slice::Iter<'a, (u32, TreeIx)>>;
 
     #[inline]
     fn labeled(&self) -> &LabeledTree {
-        &self.store.labeled
+        &self.labeled
     }
 
     #[inline]
     fn k(&self) -> usize {
-        self.store.k
+        self.k
     }
 
     #[inline]
     fn sigma(&self) -> u64 {
-        self.store.sigma
+        self.sigma
     }
 
     #[inline]
     fn hash_eval(&self, x: u64) -> u64 {
-        self.store.hash.eval(x)
+        self.hash.eval(x)
     }
 
     #[inline]
-    fn name_entries(&self, t: TreeIx) -> Self::Dir<'_> {
-        self.name_children(t).iter().copied()
-    }
-
-    #[inline]
-    fn hash_entries(&self, t: TreeIx) -> Self::Dir<'_> {
-        self.hash_dir(t).iter().copied()
+    fn dir_entries(&self, dir: Dir, lo: u32, hi: u32) -> impl Iterator<Item = (u32, TreeIx)> + '_ {
+        let arena = match dir {
+            Dir::NameChildren => &self.nc,
+            Dir::HashDir => &self.hd,
+        };
+        arena.get(lo as usize..hi as usize).unwrap_or_default().iter().copied()
     }
 }
 
 /// Execute a `j`-bounded search from the root for the node whose network
 /// id is `target`. Pure simulation: every decision uses only the
 /// current node's stored directories. Returns the outcome and the
-/// sequence of tree nodes visited.
+/// sequence of tree nodes visited. `j` is clamped to `1..=k`.
 pub fn search_bounded<S: ErtRead + ?Sized>(
     s: &S,
     target: NodeId,
     j: usize,
 ) -> (SearchOutcome, Vec<TreeIx>) {
-    assert!(j >= 1, "searches must be at least 1-bounded");
     let (k, sigma) = (s.k(), s.sigma());
-    let j = j.min(k);
+    let j = j.min(k).max(1);
     let y = s.hash_eval(target.0 as u64);
     let labeled = s.labeled();
     let root: TreeIx = 0;
@@ -630,19 +563,23 @@ pub fn search_bounded<S: ErtRead + ?Sized>(
 }
 
 /// Local lookup: does tree node `t` store the target's label? The
-/// returned tree index resolves to a label via the shared arena.
+/// returned tree index resolves to a label via the shared arena. A
+/// directory entry whose tree index does not host the target (a corrupt
+/// record) is a miss, never a delivery to the wrong node.
 fn lookup_at<S: ErtRead + ?Sized>(s: &S, t: TreeIx, target: NodeId) -> Option<TreeIx> {
-    if s.labeled().host_of(t) == Some(target) {
+    let labeled = s.labeled();
+    if labeled.host_of(t) == Some(target) {
         return Some(t);
     }
-    s.hash_entries(t).find(|&(gid, _)| gid == target.0).map(|(_, ix)| ix)
+    let (_, ix) = s.hash_entries(t).find(|&(gid, _)| gid == target.0)?;
+    (labeled.host_of(ix) == Some(target)).then_some(ix)
 }
 
 /// An [`ErrorReportingTree`] record ([`ErrorReportingTree::to_wire`])
-/// read in place, with no decode: [`ErtView::new`] walks the record's
+/// read in place, with no decode: [`ErtView::read`] walks the record's
 /// length prefixes once to find each array, and every later read is a
-/// checked little-endian word read from the record bytes. Searches
-/// over a view run the same [`search_bounded`] as over a decoded tree and
+/// checked little-endian read from the record bytes. Searches over a
+/// view run the same [`search_bounded`] as over an owned tree and
 /// return the same walks.
 ///
 /// [`ErtView::new`] checks only the layout; run [`ErtView::validate`]
@@ -655,19 +592,15 @@ pub struct ErtView<'a> {
     hash_verified: bool,
     coeffs: U64View<'a>,
     labeled: LabeledView<'a>,
-    node_of_rank: U32View<'a>,
-    rank_of: U32View<'a>,
-    nc_off: U32View<'a>,
     nc: PairView<'a>,
-    hd_off: U32View<'a>,
     hd: PairView<'a>,
 }
 
 impl<'a> ErtView<'a> {
     /// Borrow `record`: read the header, locate every array, and check
-    /// each array's length against the tree size and that the record
-    /// ends where its last array does. O(1) in the tree size. Errors
-    /// are static reasons, so rejecting a record never allocates.
+    /// that the record ends where its last array does. O(1) in the tree
+    /// size. Errors are static reasons, so rejecting a record never
+    /// allocates.
     pub fn new(record: &'a [u8]) -> Result<Self, &'static str> {
         let mut r = Reader::new(record);
         let v = Self::read(&mut r)?;
@@ -688,89 +621,48 @@ impl<'a> ErtView<'a> {
         if k == 0 || sigma == 0 || coeffs.is_empty() {
             return Err("bad ERT record header");
         }
-        let labeled = LabeledView::new(r)?;
-        let dirs = |r: &mut Reader<'a>| -> io::Result<_> {
-            Ok((
-                r.u32_view()?,
-                r.u32_view()?,
-                r.u32_view()?,
-                r.pair_view()?,
-                r.u32_view()?,
-                r.pair_view()?,
-            ))
+        let labeled = LabeledView::read(r)?;
+        let (Ok(nc), Ok(hd)) = (r.pair_view(), r.pair_view()) else {
+            return Err(TRUNCATED);
         };
-        let (node_of_rank, rank_of, nc_off, nc, hd_off, hd) = dirs(r).map_err(|_| TRUNCATED)?;
-        let m = labeled.size();
-        if node_of_rank.len() != m || rank_of.len() != m {
-            return Err("ERT rank arrays have mismatched lengths");
-        }
-        if nc_off.len() != m + 1 || hd_off.len() != m + 1 {
-            return Err("ERT directory offsets corrupt");
-        }
-        Ok(ErtView {
-            k: k as usize,
-            sigma,
-            hash_verified: verified != 0,
-            coeffs,
-            labeled,
-            node_of_rank,
-            rank_of,
-            nc_off,
-            nc,
-            hd_off,
-            hd,
-        })
+        Ok(ErtView { k: k as usize, sigma, hash_verified: verified != 0, coeffs, labeled, nc, hd })
     }
 
-    /// Every check [`ErrorReportingTree::from_wire`] makes, run in place
-    /// without allocating (see [`LabeledView::validate_tree`] for the tree
-    /// checks). A record that passes routes without out-of-range reads.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    /// Every check [`ErrorReportingTree::from_wire`] makes, row by row
+    /// and without allocating once `seen` — the scratch of the
+    /// permutation checks — has grown to the tree size (see
+    /// [`LabeledView::validate`] for the tree checks): coefficients are
+    /// in GF(p), ranks are a permutation, every directory row lies
+    /// inside its arena, and every entry names a node of the tree. A
+    /// record that passes routes without out-of-range reads.
+    pub fn validate(&self, seen: &mut Vec<u64>) -> Result<(), &'static str> {
         if self.coeffs.iter().any(|c| c >= FIELD_P) {
             return Err("bad ERT record header");
         }
-        self.labeled.validate_tree()?;
-        for (rank, t) in self.node_of_rank.iter().enumerate() {
-            if self.rank_of.get(t as usize) != Some(rank as u32) {
-                return Err("ERT rank order is not a permutation");
+        self.labeled.validate(seen)?;
+        let m = self.labeled.size();
+        clear_marks(seen, m);
+        for t in 0..m as TreeIx {
+            let Some(r) = self.labeled.row(t) else { break };
+            if !mark(seen, m, r.rank) {
+                return Err("ERT ranks are not a permutation");
+            }
+            for (dir, arena) in [(Dir::NameChildren, self.nc), (Dir::HashDir, self.hd)] {
+                let (lo, hi) = r.dir_row(dir);
+                if lo > hi || hi as usize > arena.len() {
+                    return Err("ERT directory row outside its arena");
+                }
             }
         }
-        let m = self.labeled.size();
-        for (off, arena) in [(self.nc_off, self.nc), (self.hd_off, self.hd)] {
-            if off.get(0) != Some(0)
-                || off.get(m) != Some(arena.len() as u32)
-                || off.iter().zip(off.iter().skip(1)).any(|(a, b)| a > b)
-            {
-                return Err("ERT directory offsets corrupt");
-            }
-            if arena.iter().any(|(_, ix)| ix as usize >= m) {
-                return Err("ERT directory entry out of range");
-            }
+        if self.nc.iter().chain(self.hd.iter()).any(|(_, ix)| ix as usize >= m) {
+            return Err("ERT directory entry out of range");
         }
         Ok(())
     }
 }
 
-/// Directory row of node `t` in a rank-indexed CSR arena read in place.
-fn csr_view<'a>(
-    rank_of: U32View<'a>,
-    off: U32View<'a>,
-    arena: PairView<'a>,
-    t: TreeIx,
-) -> PairView<'a> {
-    let row = || {
-        let r = rank_of.get(t as usize)? as usize;
-        arena.range(off.get(r)? as usize, off.get(r + 1)? as usize)
-    };
-    row().unwrap_or_default()
-}
-
 impl<'a> ErtRead for ErtView<'a> {
     type Tree = LabeledView<'a>;
-    type Dir<'b>
-        = PairIter<'a>
-    where
-        Self: 'b;
 
     #[inline]
     fn labeled(&self) -> &LabeledView<'a> {
@@ -793,13 +685,12 @@ impl<'a> ErtRead for ErtView<'a> {
     }
 
     #[inline]
-    fn name_entries(&self, t: TreeIx) -> PairIter<'a> {
-        csr_view(self.rank_of, self.nc_off, self.nc, t).iter()
-    }
-
-    #[inline]
-    fn hash_entries(&self, t: TreeIx) -> PairIter<'a> {
-        csr_view(self.rank_of, self.hd_off, self.hd, t).iter()
+    fn dir_entries(&self, dir: Dir, lo: u32, hi: u32) -> impl Iterator<Item = (u32, TreeIx)> + '_ {
+        let arena = match dir {
+            Dir::NameChildren => self.nc,
+            Dir::HashDir => self.hd,
+        };
+        arena.range(lo as usize, hi as usize).unwrap_or_default().iter()
     }
 }
 
@@ -1008,8 +899,8 @@ mod tests {
         let g = gen::random_tree(300, WeightDist::Unit, &mut rng);
         let s = build(&g, NodeId(0), 3, 10);
         for t in 0..300u32 {
-            assert!(s.hash_dir(t).len() <= s.max_load());
-            assert!(s.name_children(t).len() <= s.sigma() as usize);
+            assert!(s.hash_entries(t).count() <= s.max_load());
+            assert!(s.name_entries(t).count() <= s.sigma() as usize);
         }
     }
 
@@ -1042,8 +933,8 @@ mod tests {
         for t in 0..150u32 {
             assert_eq!(s2.rank(t), s.rank(t));
             assert_eq!(s2.node_bits(t), s.node_bits(t));
-            assert_eq!(s2.name_children(t), s.name_children(t));
-            assert_eq!(s2.hash_dir(t), s.hash_dir(t));
+            assert!(s2.name_entries(t).eq(s.name_entries(t)));
+            assert!(s2.hash_entries(t).eq(s.hash_entries(t)));
         }
         for gid in [0u32, 7, 42, 149, 5000] {
             for j in 1..=3 {
@@ -1060,7 +951,7 @@ mod tests {
 
     fn view_of(bytes: &[u8]) -> Result<ErtView<'_>, &'static str> {
         let v = ErtView::new(bytes)?;
-        v.validate()?;
+        v.validate(&mut Vec::new())?;
         Ok(v)
     }
 
@@ -1121,6 +1012,107 @@ mod tests {
             }
         }
         assert!(rejected > bytes.len(), "the flips exercise the checks ({rejected} rejected)");
+    }
+
+    /// The outcome of searching for `gid` on a corrupt tree that passed
+    /// validation must be a miss or a delivery at a node hosting `gid`.
+    fn assert_miss_or_host<S: ErtRead + ?Sized>(s: &S, gid: u32, j: usize, what: &str) {
+        if let (SearchOutcome::Found { delivered_at, .. }, _) = search_bounded(s, NodeId(gid), j) {
+            assert_eq!(
+                s.labeled().host_of(delivered_at),
+                Some(NodeId(gid)),
+                "{what}: search for {gid} (j={j}) delivered at {delivered_at}"
+            );
+        }
+    }
+
+    #[test]
+    fn rewritten_fields_are_rejected_missed_or_delivered_at_the_host() {
+        // Structure-aware corruption: rewrite one row field or one arena
+        // entry at a time to values that keep most records plausible
+        // (in-range neighbours, boundaries, sentinels). Each rewritten
+        // tree is saved and loaded; whatever loads must answer every
+        // search with a miss or a delivery at the target's host — never
+        // a panic, never a wrong node.
+        let mut rng = SmallRng::seed_from_u64(65);
+        let g = gen::random_tree(40, WeightDist::UniformInt { lo: 1, hi: 5 }, &mut rng);
+        let s = build(&g, NodeId(0), 3, 14);
+        let m = s.labeled().size() as u32;
+        let candidates =
+            |x: u32| [0, 1, x.wrapping_sub(1), x.wrapping_add(1), x ^ 7, m - 1, m, u32::MAX];
+        type Edit = Box<dyn Fn(&mut ErrorReportingTree)>;
+        let mut edits: Vec<(String, Edit)> = Vec::new();
+        type Field = fn(&mut NodeRec) -> &mut u32;
+        let fields: [(&str, Field); 13] = [
+            ("parent", |r| &mut r.parent),
+            ("dfs_in", |r| &mut r.dfs_in),
+            ("dfs_out", |r| &mut r.dfs_out),
+            ("heavy_in", |r| &mut r.heavy_in),
+            ("heavy_out", |r| &mut r.heavy_out),
+            ("heavy", |r| &mut r.heavy),
+            ("light_depth", |r| &mut r.light_depth),
+            ("light_off", |r| &mut r.light_off),
+            ("nc_lo", |r| &mut r.nc_lo),
+            ("nc_hi", |r| &mut r.nc_hi),
+            ("hd_lo", |r| &mut r.hd_lo),
+            ("hd_hi", |r| &mut r.hd_hi),
+            ("rank", |r| &mut r.rank),
+        ];
+        for t in (0..m as usize).step_by(3) {
+            for (name, field) in fields {
+                let mut row = s.labeled.nodes[t];
+                let old = *field(&mut row);
+                for v in candidates(old).into_iter().filter(|&v| v != old) {
+                    edits.push((
+                        format!("row {t} {name} = {v}"),
+                        Box::new(move |s: &mut ErrorReportingTree| {
+                            *field(&mut s.labeled.nodes[t]) = v
+                        }),
+                    ));
+                }
+            }
+        }
+        for i in 0..s.hd.len() {
+            let (gid, ix) = s.hd[i];
+            for v in candidates(ix).into_iter().filter(|&v| v != ix) {
+                edits.push((format!("hd[{i}] = ({gid}, {v})"), Box::new(move |s| s.hd[i].1 = v)));
+            }
+        }
+        for i in 0..s.nc.len() {
+            let ix = s.nc[i].1;
+            for v in candidates(ix).into_iter().filter(|&v| v != ix) {
+                edits.push((format!("nc[{i}] -> {v}"), Box::new(move |s| s.nc[i].1 = v)));
+            }
+        }
+        for i in 0..s.labeled.light_hops.len() {
+            let hop = s.labeled.light_hops[i];
+            for v in candidates(hop.child).into_iter().filter(|&v| v != hop.child) {
+                edits.push((
+                    format!("hop[{i}].child = {v}"),
+                    Box::new(move |s| s.labeled.light_hops[i].child = v),
+                ));
+            }
+        }
+        let (mut accepted, mut accepted_hd) = (0, 0);
+        for (what, edit) in &edits {
+            let mut bad = s.clone();
+            edit(&mut bad);
+            let bytes = record_of(&bad);
+            let decoded = ErrorReportingTree::from_wire(&mut wire::Reader::new(&bytes));
+            let view = view_of(&bytes);
+            assert_eq!(decoded.is_ok(), view.is_ok(), "{what}: decode and view disagree");
+            let (Ok(decoded), Ok(view)) = (decoded, view) else { continue };
+            accepted += 1;
+            accepted_hd += what.starts_with("hd[") as usize;
+            for gid in (0..g.n() as u32).chain([4_000]) {
+                for j in 1..=3 {
+                    assert_miss_or_host(&decoded, gid, j, what);
+                    assert_miss_or_host(&view, gid, j, what);
+                }
+            }
+        }
+        assert!(accepted_hd > 0, "some directory rewrites must pass validation");
+        assert!(accepted < edits.len(), "some rewrites must be rejected");
     }
 
     #[test]

@@ -23,10 +23,10 @@ pub mod labeled;
 pub mod laing;
 pub mod names;
 
-pub use cover_router::{CoverOutcome, CoverStore, CoverTreeRouter};
+pub use cover_router::{CoverOutcome, CoverTreeRouter};
 pub use hashing::PolyHash;
 pub use labeled::{
-    LabelRead, LabelRef, LabeledRead, LabeledStore, LabeledTree, LabeledView, RouteLabel, Step,
+    LabelRead, LabelRef, LabeledRead, LabeledTree, LabeledView, NodeRec, RouteLabel, Step,
 };
-pub use laing::{ErrorReportingTree, ErtRead, ErtStore, ErtView, SearchOutcome};
+pub use laing::{ErrorReportingTree, ErtRead, ErtView, SearchOutcome};
 pub use names::{Name, Naming};

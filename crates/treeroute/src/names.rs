@@ -22,9 +22,9 @@ pub struct Naming {
 
 impl Naming {
     /// Plan names for `count` ranked nodes with alphabet size `sigma`.
+    /// Total: a `count` or `sigma` of 0 (which no tree has) is read as 1.
     pub fn new(count: usize, sigma: u64) -> Self {
-        assert!(count >= 1);
-        assert!(sigma >= 1);
+        let (count, sigma) = (count.max(1), sigma.max(1));
         let mut level_end = vec![1usize];
         let mut total = 1u128;
         let mut level_size = 1u128;

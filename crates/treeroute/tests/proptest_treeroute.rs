@@ -7,8 +7,8 @@ use graphkit::{dijkstra, Graph, NodeId, Tree};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treeroute::cover_router::{CoverStore, CoverTreeRouter};
-use treeroute::labeled::{route_into, LabeledRead, LabeledStore, LabeledTree};
+use treeroute::cover_router::CoverTreeRouter;
+use treeroute::labeled::{route_into, LabeledRead, LabeledTree};
 use treeroute::laing::{search_bounded, ErrorReportingTree, ErtRead, ErtView, SearchOutcome};
 use treeroute::names::Naming;
 
@@ -128,7 +128,7 @@ proptest! {
         }
     }
 
-    /// The packed node records are a lossless form of the wire layout:
+    /// The owned node rows and the wire rows are one layout:
     /// `to_wire → from_wire → to_wire` reproduces every store's bytes,
     /// and the owned records route exactly like the record bytes read
     /// in place, for every (source, target).
@@ -143,16 +143,16 @@ proptest! {
         let bytes = wire_of(|w| ert.to_wire(w));
         let back = ErrorReportingTree::from_wire(&mut Reader::new(&bytes)).expect("decode");
         prop_assert_eq!(wire_of(|w| back.to_wire(w)), bytes.clone());
-        let labeled = wire_of(|w| ert.labeled().store().to_wire(w));
-        let store = LabeledStore::from_wire(&mut Reader::new(&labeled)).expect("decode");
+        let labeled = wire_of(|w| ert.labeled().to_wire(w));
+        let store = LabeledTree::from_wire(&mut Reader::new(&labeled)).expect("decode");
         prop_assert_eq!(wire_of(|w| store.to_wire(w)), labeled);
         let cover = CoverTreeRouter::new(rooted(&g, 0), sigma, seed);
-        let cover_bytes = wire_of(|w| cover.store().to_wire(w));
-        let cover_back = CoverStore::from_wire(&mut Reader::new(&cover_bytes)).expect("decode");
+        let cover_bytes = wire_of(|w| cover.to_wire(w));
+        let cover_back = CoverTreeRouter::from_wire(&mut Reader::new(&cover_bytes)).expect("decode");
         prop_assert_eq!(wire_of(|w| cover_back.to_wire(w)), cover_bytes);
 
         let view = ErtView::new(&bytes).expect("layout");
-        prop_assert!(view.validate().is_ok());
+        prop_assert!(view.validate(&mut Vec::new()).is_ok());
         let (lt, lv) = (back.labeled(), view.labeled());
         let m = lt.size() as u32;
         for s in 0..m {
@@ -205,7 +205,10 @@ fn labeled_route_from_out_of_tree_node_is_none() {
     let m = lt.size() as u32;
     for bad in [m, m + 1, u32::MAX] {
         assert!(lt.route(bad, lt.label(0)).is_none(), "route from {bad} must degrade");
-        assert!(matches!(lt.route_step(bad, lt.label(0)), treeroute::labeled::Step::NotInTree));
+        assert!(matches!(
+            treeroute::labeled::step_toward(&lt, bad, lt.label(0)),
+            treeroute::labeled::Step::NotInTree
+        ));
     }
     // In-range routing is unaffected.
     assert!(lt.route(m - 1, lt.label(0)).is_some());
